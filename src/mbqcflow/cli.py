@@ -16,10 +16,10 @@ import click
 
 from .errors import CapacityError, ContractError, FormatError, RewriteError
 from .flows import PartialOrder, flow_from_json, flow_to_json, verify_pauli_flow
-from .gf2 import members, popcount
-from .graphs import OpenGraph, open_graph_from_json, open_graph_to_json
+from .graphs import (OpenGraph, VertexNames, open_graph_from_json,
+                     open_graph_to_json)
 from .instances import DEFAULT_LABELS, InstanceSpec, generate_instance
-from .patterns import (Angle, Mbqc, Measure, of_pattern, parse,
+from .patterns import (Angle, Mbqc, Measure, _parse_angle, of_pattern, parse,
                        pattern_from_json, print_pattern, standardize,
                        to_pattern, validate)
 from .search import (BRUTE_FORCE_IC_BOUND, BRUTE_FORCE_OC_BOUND,
@@ -40,22 +40,12 @@ def _fail_parse(message: str):
     sys.exit(2)
 
 
-def _load_open_graph(path: str) -> OpenGraph:
+def _load(path: str, reader, *args):
+    """`reader` applied to the text of `path`; a failure exits with code 2."""
     try:
         with open(path) as fh:
-            return open_graph_from_json(fh.read())
-    except (OSError, FormatError) as e:
-        _fail_parse(str(e))
-
-
-def _load_pattern(path: str):
-    try:
-        with open(path) as fh:
-            text = fh.read()
-        if path.endswith(".json"):
-            return pattern_from_json(json.loads(text))
-        return parse(text)
-    except (OSError, FormatError, json.JSONDecodeError, KeyError) as e:
+            return reader(fh.read(), *args)
+    except (OSError, UnicodeDecodeError, FormatError) as e:
         _fail_parse(str(e))
 
 
@@ -76,40 +66,31 @@ def _report(doc: dict, as_json: bool, text: str):
 
 def _pattern_measurement_order(pat) -> PartialOrder:
     """Total order of the pattern's measurement sequence (abort points)."""
-    seq = [c.qubit for c in pat.commands if isinstance(c, Measure)]
-    pairs = [(seq[i], seq[j])
-             for i in range(len(seq)) for j in range(i + 1, len(seq))]
-    return PartialOrder.from_pairs(pat.n, pairs)
+    return PartialOrder.chain(
+        pat.n, [c.qubit for c in pat.commands if isinstance(c, Measure)])
 
 
-def _parse_angle_value(value: str) -> Angle:
-    """`k/d` or `k` are fractions of pi; anything else is float radians."""
+def _angles(og: OpenGraph, angle_opts) -> Dict[int, Angle]:
+    """0 on Pauli labels and pi/4 on planes, overridden by `--angle NAME=VALUE`
+    options: `k/d` or `k` are fractions of pi, anything else float radians.
+    A malformed option exits with code 2."""
+    angles = {u: Angle.from_fraction(0) if lab.is_pauli else Angle.from_fraction(1, 4)
+              for u, lab in og.labels.items()}
+    names = VertexNames(og.names)
     try:
-        if "/" in value:
-            num, den = value.split("/", 1)
-            return Angle.from_fraction(int(num), int(den))
-        return Angle.from_fraction(int(value))
-    except ValueError:
-        pass
-    try:
-        return Angle.from_radians(float(value))
-    except ValueError:
-        raise click.BadParameter(f"cannot parse angle {value!r}")
-
-
-def _default_angles(og: OpenGraph, overrides: Dict[str, Angle]) -> Dict[int, Angle]:
-    index = {name: i for i, name in enumerate(og.names)}
-    angles = {}
-    for u, lab in og.labels.items():
-        if og.names[u] in overrides:
-            angles[u] = overrides[og.names[u]]
-        elif lab.is_pauli:
-            angles[u] = Angle.from_fraction(0)
-        else:
-            angles[u] = Angle.from_fraction(1, 4)
-    for name in overrides:
-        if name not in index:
-            raise click.BadParameter(f"unknown vertex {name!r} in --angle")
+        for opt in angle_opts:
+            name, eq, value = opt.partition("=")
+            if not eq:
+                raise FormatError(f"expected NAME=VALUE, got {opt!r}")
+            u = names.id(name)
+            try:
+                angle = _parse_angle([value, "pi"], None)
+            except FormatError:
+                angle = _parse_angle([value], None)
+            if u in angles:
+                angles[u] = angle
+    except FormatError as e:
+        _fail_parse(f"--angle: {e}")
     return angles
 
 
@@ -119,12 +100,8 @@ def _default_angles(og: OpenGraph, overrides: Dict[str, Angle]) -> Dict[int, Ang
 @click.option("--json", "as_json", is_flag=True)
 def cmd_verify_flow(graph_file, flow_file, as_json):
     """Check a flow witness against an open graph."""
-    og = _load_open_graph(graph_file)
-    try:
-        with open(flow_file) as fh:
-            flow = flow_from_json(fh.read(), og)
-    except (OSError, FormatError) as e:
-        _fail_parse(str(e))
+    og = _load(graph_file, open_graph_from_json)
+    flow = _load(flow_file, flow_from_json, og)
     try:
         verdict = verify_pauli_flow(og, flow)
     except ContractError as e:
@@ -143,7 +120,7 @@ def cmd_verify_flow(graph_file, flow_file, as_json):
 @click.option("-o", "--output", type=click.Path())
 def cmd_find_flow(graph_file, brute_force_bound, as_json, output):
     """Search for a flow; prints the witness or 'none'."""
-    og = _load_open_graph(graph_file)
+    og = _load(graph_file, open_graph_from_json)
     result = find_pauli_flow(og, oc_bound=brute_force_bound,
                              ic_bound=max(BRUTE_FORCE_IC_BOUND, brute_force_bound))
     if result.found:
@@ -162,19 +139,14 @@ def cmd_find_flow(graph_file, brute_force_bound, as_json, output):
 @click.option("-o", "--output", type=click.Path())
 def cmd_synthesize(graph_file, angle_opts, output):
     """Flow search, correction synthesis and pattern emission."""
-    og = _load_open_graph(graph_file)
-    overrides = {}
-    for opt in angle_opts:
-        if "=" not in opt:
-            raise click.BadParameter(f"--angle needs NAME=VALUE, got {opt!r}")
-        name, value = opt.split("=", 1)
-        overrides[name] = _parse_angle_value(value)
+    og = _load(graph_file, open_graph_from_json)
+    angles = _angles(og, angle_opts)
     result = find_pauli_flow(og)
     if not result.found:
         click.echo("no flow", err=True)
         sys.exit(1)
     strategy = synthesize_corrections(og, result.flow)
-    m = Mbqc(og, _default_angles(og, overrides), strategy)
+    m = Mbqc(og, angles, strategy)
     _emit(print_pattern(to_pattern(m, result.flow.order)), output)
     sys.exit(0)
 
@@ -189,7 +161,8 @@ def cmd_synthesize(graph_file, angle_opts, output):
 @click.option("--json", "as_json", is_flag=True)
 def cmd_check(pattern_file, level, samples, seed, tolerance, as_json):
     """Determinism check of a pattern at the chosen strictness."""
-    pat = _load_pattern(pattern_file)
+    pat = _load(pattern_file,
+                pattern_from_json if pattern_file.endswith(".json") else parse)
     verdict = validate(pat)
     if not verdict:
         _fail_parse(f"pattern is not valid: {verdict.message}")
@@ -229,11 +202,8 @@ def cmd_check(pattern_file, level, samples, seed, tolerance, as_json):
 @click.option("-o", "--output", type=click.Path())
 def cmd_parallelize(graph_file, angle_opts, as_json, output):
     """Depth-one pattern for a bipartite real instance with a flow."""
-    og = _load_open_graph(graph_file)
-    overrides = {}
-    for opt in angle_opts:
-        name, value = opt.split("=", 1)
-        overrides[name] = _parse_angle_value(value)
+    og = _load(graph_file, open_graph_from_json)
+    angles = _angles(og, angle_opts)
     result = find_pauli_flow(og)
     if not result.found:
         click.echo("no flow", err=True)
@@ -253,7 +223,7 @@ def cmd_parallelize(graph_file, angle_opts, as_json, output):
     off_output = [u for u in strategy.x
                   if (strategy.x[u] | strategy.z[u]) & ~og.outputs]
     depth = 1 if not off_output else None
-    m = Mbqc(og, _default_angles(og, overrides), strategy)
+    m = Mbqc(og, angles, strategy)
     text = print_pattern(to_pattern(m, order))
     if as_json:
         click.echo(json.dumps({"depth": depth, "pattern": text}, indent=2))

@@ -8,23 +8,24 @@ purpose so that tests can confront them on exhaustively enumerated instances.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
+from dataclasses import dataclass
+from typing import Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import ContractError, FormatError
 from .gf2 import mask_of, members, popcount
-from .graphs import (MeasurementLabel, OpenGraph, closed_odd_neighborhood,
-                     odd_neighborhood)
+from .graphs import (MeasurementLabel, OpenGraph, VertexNames,
+                     closed_odd_neighborhood, expect_json, odd_neighborhood,
+                     read_document)
 
 
 @dataclass(frozen=True)
 class PartialOrder:
     """Strict partial order over vertex ids, stored transitively closed.
 
-    succ[u] is the bitmask of vertices v with u < v.  Callers usually build
-    one from generator pairs; the closure is computed at construction and
-    irreflexivity is rejected there.
+    succ[u] is the bitmask of vertices v with u < v.  `from_pairs` computes
+    the closure of generator pairs, once.  The constructor checks the stored
+    relation in one pass: succ[v] is a subset of succ[u] for every v in
+    succ[u] (this is transitivity) and u is never in succ[u].
     """
 
     n: int
@@ -33,12 +34,13 @@ class PartialOrder:
     def __post_init__(self):
         if len(self.succ) != self.n:
             raise ValueError("succ row count does not match n")
-        closed = _transitive_closure(list(self.succ))
-        if tuple(closed) != self.succ:
-            raise ValueError("succ relation is not transitively closed")
-        for u in range(self.n):
-            if (self.succ[u] >> u) & 1:
-                raise ValueError(f"order is not irreflexive at vertex {u}")
+        for u, row in enumerate(self.succ):
+            if row >> self.n:
+                raise ValueError(f"succ row {u} references vertices >= n")
+            if (row >> u) & 1:
+                raise ValueError(f"order has a cycle through vertex {u}")
+            if any(self.succ[v] & ~row for v in members(row)):
+                raise ValueError("succ relation is not transitively closed")
 
     @classmethod
     def from_pairs(cls, n: int, pairs: Iterable[Tuple[int, int]]) -> "PartialOrder":
@@ -47,11 +49,17 @@ class PartialOrder:
             if not (0 <= a < n and 0 <= b < n):
                 raise ValueError(f"order pair ({a},{b}) out of range")
             succ[a] |= 1 << b
-        closed = _transitive_closure(succ)
-        for u in range(n):
-            if (closed[u] >> u) & 1:
-                raise ValueError("generator pairs induce a cycle")
-        return cls(n, tuple(closed))
+        return cls(n, tuple(_transitive_closure(succ)))
+
+    @classmethod
+    def chain(cls, n: int, sequence: Sequence[int]) -> "PartialOrder":
+        """Total order sequence[0] < sequence[1] < ... on the listed vertices."""
+        succ = [0] * n
+        later = 0
+        for u in reversed(sequence):
+            succ[u] = later
+            later |= 1 << u
+        return cls(n, tuple(succ))
 
     @classmethod
     def empty(cls, n: int) -> "PartialOrder":
@@ -83,17 +91,6 @@ def _transitive_closure(succ: List[int]) -> List[int]:
         for u in range(n):
             if (closed[u] >> k) & 1:
                 closed[u] |= row_k
-    # One extra sweep handles chains discovered late.
-    changed = True
-    while changed:
-        changed = False
-        for u in range(n):
-            acc = closed[u]
-            for v in members(closed[u]):
-                acc |= closed[v]
-            if acc != closed[u]:
-                closed[u] = acc
-                changed = True
     return closed
 
 
@@ -259,25 +256,14 @@ def flow_to_json(f: CorrectionFlow, names: Tuple[str, ...]) -> dict:
 
 
 def flow_from_json(doc: Union[str, dict], og: OpenGraph) -> CorrectionFlow:
-    if isinstance(doc, str):
-        try:
-            doc = json.loads(doc)
-        except json.JSONDecodeError as e:
-            raise FormatError(f"invalid JSON: {e}") from e
-    if not isinstance(doc, dict) or "p" not in doc:
-        raise FormatError("flow document must be a JSON object with a 'p' key")
-    index = {name: i for i, name in enumerate(og.names)}
-
-    def resolve(name):
-        if name not in index:
-            raise FormatError(f"unknown vertex {name!r}")
-        return index[name]
-
-    p = {resolve(u): mask_of(resolve(v) for v in targets)
-         for u, targets in doc["p"].items()}
+    doc = read_document(doc, "flow", ("p",))
+    names = VertexNames(og.names)
+    p = {names.id(u): names.mask(targets, f"p({u})")
+         for u, targets in expect_json(doc["p"], dict, "p").items()}
+    pairs = [names.ids(pair, "order pair", 2)
+             for pair in expect_json(doc.get("order", []), list, "order")]
     try:
-        order = PartialOrder.from_pairs(
-            og.n, [(resolve(a), resolve(b)) for a, b in doc.get("order", [])])
+        order = PartialOrder.from_pairs(og.n, pairs)
     except ValueError as e:
         raise FormatError(str(e)) from e
     return CorrectionFlow(p, order)

@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import FormatError
-from .gf2 import mask_of, members, popcount
+from .gf2 import mask_of, members
 
 
 class MeasurementLabel(Enum):
@@ -45,7 +45,7 @@ class MeasurementLabel(Enum):
 
     @classmethod
     def from_string(cls, s: str) -> "MeasurementLabel":
-        key = "".join(sorted(s.upper()))
+        key = "".join(sorted(s.upper())) if isinstance(s, str) else None
         table = {"X": cls.X, "Y": cls.Y, "Z": cls.Z,
                  "XY": cls.XY, "YZ": cls.YZ, "XZ": cls.XZ}
         if key not in table:
@@ -224,39 +224,67 @@ def open_graph_to_json(og: OpenGraph) -> dict:
     }
 
 
-def open_graph_from_json(doc: Union[str, dict]) -> OpenGraph:
+def read_document(doc: Union[str, dict], kind: str, keys: Sequence[str]) -> dict:
+    """The JSON boundary: parse `doc` when it is text and require a JSON object
+    holding `keys`.  Every failure raises FormatError."""
     if isinstance(doc, str):
         try:
             doc = json.loads(doc)
-        except json.JSONDecodeError as e:
+        except (ValueError, RecursionError) as e:  # ValueError: also over-long integers
             raise FormatError(f"invalid JSON: {e}") from e
-    if not isinstance(doc, dict):
-        raise FormatError("open-graph document must be a JSON object")
-    try:
-        names = list(doc["vertices"])
-        edges = doc["edges"]
-        inputs = doc["inputs"]
-        outputs = doc["outputs"]
-        labels = doc.get("labels", {})
-    except KeyError as e:
-        raise FormatError(f"missing key {e.args[0]!r}") from e
-    if len(set(names)) != len(names):
-        raise FormatError("duplicate vertex names")
-    index = {name: i for i, name in enumerate(names)}
+    expect_json(doc, dict, f"{kind} document")
+    for key in keys:
+        if key not in doc:
+            raise FormatError(f"{kind} document is missing key {key!r}")
+    return doc
 
-    def resolve(name):
-        if name not in index:
+
+def expect_json(value, kind: type, what: str):
+    """`value` itself when it is a JSON object (kind dict) or array (kind list)."""
+    if not isinstance(value, kind):
+        raise FormatError(f"{what} must be a JSON {'object' if kind is dict else 'array'}")
+    return value
+
+
+class VertexNames:
+    """The name resolver of the JSON boundary: unique string names to dense ids.
+
+    A value of the wrong JSON type or an unknown name raises FormatError.
+    """
+
+    def __init__(self, names):
+        self.names = tuple(expect_json(names, (list, tuple), "vertices"))
+        if not all(isinstance(name, str) for name in self.names):
+            raise FormatError("vertex names must be strings")
+        self.index = {name: i for i, name in enumerate(self.names)}
+        if len(self.index) != len(self.names):
+            raise FormatError("duplicate vertex names")
+
+    def id(self, name) -> int:
+        if not isinstance(name, str) or name not in self.index:
             raise FormatError(f"unknown vertex {name!r}")
-        return index[name]
+        return self.index[name]
 
+    def ids(self, value, what: str, size: Optional[int] = None) -> List[int]:
+        """Ids of a JSON array of names, of exactly `size` names when given."""
+        names = expect_json(value, list, what)
+        if size is not None and len(names) != size:
+            raise FormatError(f"{what} must name {size} vertices")
+        return [self.id(name) for name in names]
+
+    def mask(self, value, what: str) -> int:
+        return mask_of(self.ids(value, what))
+
+
+def open_graph_from_json(doc: Union[str, dict]) -> OpenGraph:
+    doc = read_document(doc, "open-graph", ("vertices", "edges", "inputs", "outputs"))
+    names = VertexNames(doc["vertices"])
+    edges = [names.ids(e, "edge", 2) for e in expect_json(doc["edges"], list, "edges")]
+    labels = {names.id(v): MeasurementLabel.from_string(s)
+              for v, s in expect_json(doc.get("labels", {}), dict, "labels").items()}
     try:
-        g = Graph.from_edges(len(names), [(resolve(a), resolve(b)) for a, b in edges])
-    except ValueError as e:
-        raise FormatError(str(e)) from e
-    og_inputs = mask_of(resolve(v) for v in inputs)
-    og_outputs = mask_of(resolve(v) for v in outputs)
-    lab = {resolve(v): MeasurementLabel.from_string(s) for v, s in labels.items()}
-    try:
-        return OpenGraph(g, og_inputs, og_outputs, lab, tuple(names))
+        g = Graph.from_edges(len(names.names), edges)
+        return OpenGraph(g, names.mask(doc["inputs"], "inputs"),
+                         names.mask(doc["outputs"], "outputs"), labels, names.names)
     except ValueError as e:
         raise FormatError(str(e)) from e

@@ -16,8 +16,9 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 from .errors import ContractError, PatternSyntaxError, RewriteError
 from .flows import PartialOrder
 from .gf2 import mask_of, members
-from .graphs import Graph, MeasurementLabel, OpenGraph
-from .synthesis import CorrectionStrategy, strategy_order
+from .graphs import (Graph, MeasurementLabel, OpenGraph, VertexNames,
+                     expect_json, read_document)
+from .synthesis import CorrectionStrategy, linearize, strategy_order
 
 TWO_PI = 2 * math.pi
 
@@ -248,31 +249,26 @@ class Mbqc:
         strategy_order(self.strategy, self.og)  # raises when not extensive
 
 
-def measurement_linearization(m: Mbqc, order: Optional[PartialOrder] = None) -> List[int]:
-    """Topological order of the measured vertices, ascending id tie-break.
-
-    The linearization respects the strategy-induced order and, when given,
-    an additional measurement order (e.g. the flow order the corrections
-    were synthesized for); the two must be jointly acyclic.
-    """
+def measurement_order(m: Mbqc, order: Optional[PartialOrder] = None) -> PartialOrder:
+    """The strategy-induced order joined with `order` restricted to the
+    measured vertices (e.g. the flow order the corrections were synthesized
+    for).  Raises ContractError when the two are not jointly acyclic."""
     induced = strategy_order(m.strategy, m.og)
-    pairs = induced.pairs()
-    if order is not None:
-        measured = m.og.measured
-        pairs += [(a, b) for a, b in order.pairs()
-                  if (measured >> a) & 1 and (measured >> b) & 1]
+    if order is None:
+        return induced
+    measured = m.og.measured
+    pairs = induced.pairs() + [(a, b) for a, b in order.pairs()
+                               if (measured >> a) & 1 and (measured >> b) & 1]
     try:
-        combined = PartialOrder.from_pairs(m.og.n, pairs)
+        return PartialOrder.from_pairs(m.og.n, pairs)
     except ValueError as e:
         raise ContractError(f"order conflicts with the strategy: {e}") from e
-    todo = sorted(m.og.labels)
-    out: List[int] = []
-    while todo:
-        pick = next(u for u in todo
-                    if all(not combined.less(v, u) for v in todo if v != u))
-        out.append(pick)
-        todo.remove(pick)
-    return out
+
+
+def measurement_linearization(m: Mbqc, order: Optional[PartialOrder] = None) -> List[int]:
+    """The lexicographically smallest linear extension of
+    measurement_order(m, order) on the measured vertices."""
+    return linearize(measurement_order(m, order), m.og.measured)
 
 
 def to_pattern(m: Mbqc, order: Optional[PartialOrder] = None) -> Pattern:
@@ -465,9 +461,12 @@ def _angle_to_json(angle: Angle):
 
 
 def _angle_from_json(doc) -> Angle:
-    if "radians" in doc:
-        return Angle.from_radians(doc["radians"])
-    return Angle.from_fraction(doc["num"], doc.get("den", 1))
+    try:
+        if "radians" in doc:
+            return Angle.from_radians(doc["radians"])
+        return Angle.from_fraction(doc["num"], doc.get("den", 1))
+    except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError) as e:
+        raise PatternSyntaxError(f"malformed angle {doc!r}") from e
 
 
 def pattern_to_json(pat: Pattern) -> dict:
@@ -494,27 +493,28 @@ def pattern_to_json(pat: Pattern) -> dict:
     }
 
 
-def pattern_from_json(doc: dict) -> Pattern:
-    names = tuple(doc["vertices"])
-    index = {nm: i for i, nm in enumerate(names)}
+def pattern_from_json(doc: Union[str, dict]) -> Pattern:
+    doc = read_document(doc, "pattern", ("vertices", "input", "output", "commands"))
+    names = VertexNames(doc["vertices"])
     cmds: List[Command] = []
-    for c in doc["commands"]:
-        t = c["type"]
+    for c in expect_json(doc["commands"], list, "commands"):
+        t = expect_json(c, dict, "command").get("type")
         if t == "N":
-            cmds.append(New(index[c["qubit"]]))
+            cmds.append(New(names.id(c.get("qubit"))))
         elif t == "E":
-            a, b = c["qubits"]
-            cmds.append(Entangle(index[a], index[b]))
+            a, b = names.ids(c.get("qubits"), "E qubits", 2)
+            if a == b:
+                raise PatternSyntaxError("E needs two distinct qubits")
+            cmds.append(Entangle(a, b))
         elif t == "M":
-            cmds.append(Measure(index[c["qubit"]],
-                                MeasurementLabel.from_string(c["label"]),
-                                _angle_from_json(c["angle"])))
+            cmds.append(Measure(names.id(c.get("qubit")),
+                                MeasurementLabel.from_string(c.get("label")),
+                                _angle_from_json(c.get("angle"))))
         elif t == "X":
-            cmds.append(CorrectX(index[c["qubit"]], index[c["signal"]]))
+            cmds.append(CorrectX(names.id(c.get("qubit")), names.id(c.get("signal"))))
         elif t == "Z":
-            cmds.append(CorrectZ(index[c["qubit"]], index[c["signal"]]))
+            cmds.append(CorrectZ(names.id(c.get("qubit")), names.id(c.get("signal"))))
         else:
             raise PatternSyntaxError(f"unknown command type {t!r}")
-    inputs = mask_of(index[v] for v in doc["input"])
-    outputs = mask_of(index[v] for v in doc["output"])
-    return Pattern(len(names), tuple(cmds), inputs, outputs, names)
+    return Pattern(len(names.names), tuple(cmds), names.mask(doc["input"], "input"),
+                   names.mask(doc["output"], "output"), names.names)

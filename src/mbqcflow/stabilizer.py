@@ -219,7 +219,6 @@ def canonical_generators(generators: Sequence[PauliOperator], n: int) -> Tuple[P
     """
     work = list(generators)
     out: List[PauliOperator] = []
-    used = 0  # bit positions already holding a pivot
     for b in range(2 * n):
         cand = None
         for k, g in enumerate(work):
@@ -232,7 +231,6 @@ def canonical_generators(generators: Sequence[PauliOperator], n: int) -> Tuple[P
         work = [g * pivot if ((g.x | (g.z << n)) >> b) & 1 else g for g in work]
         out = [g * pivot if ((g.x | (g.z << n)) >> b) & 1 else g for g in out]
         out.append(pivot)
-        used |= 1 << b
     return tuple(out)
 
 

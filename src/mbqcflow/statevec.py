@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -22,8 +22,8 @@ from .errors import CapacityError, ContractError
 from .gf2 import members, popcount
 from .graphs import MeasurementLabel, OpenGraph
 from .patterns import (Angle, CorrectX, CorrectZ, Entangle, Measure, Mbqc, New,
-                       Pattern, to_pattern, validate)
-from .synthesis import CorrectionStrategy, strategy_order
+                       Pattern, measurement_order, to_pattern, validate)
+from .synthesis import CorrectionStrategy
 
 DEFAULT_CAPACITY = 12
 DEFAULT_TOL = 1e-9
@@ -343,16 +343,7 @@ def check_robust_deterministic(m: Mbqc, angle_samples: int = 20, seed: int = 0,
     the offending truncation and angle assignment when one is found.
     """
     og = m.og
-    induced = strategy_order(m.strategy, og)
-    if order is not None:
-        from .flows import PartialOrder
-        measured = og.measured
-        pairs = induced.pairs() + [(a, b) for a, b in order.pairs()
-                                   if (measured >> a) & 1 and (measured >> b) & 1]
-        try:
-            induced = PartialOrder.from_pairs(og.n, pairs)
-        except ValueError as e:
-            raise ContractError(f"order conflicts with the strategy: {e}") from e
+    induced = measurement_order(m, order)
     real_mode = og.is_real
     checks = 0
     for keep in _lowersets(sorted(og.labels), induced):

@@ -13,15 +13,15 @@ scheduled in a single round.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple, Union
 
-from .errors import ContractError, FormatError
-from .flows import (CorrectionFlow, PartialOrder, Verdict, verify_pauli_flow,
+from .errors import ContractError
+from .flows import (CorrectionFlow, PartialOrder, verify_pauli_flow,
                     verify_real_pauli_flow)
-from .gf2 import mask_of, members
-from .graphs import MeasurementLabel, OpenGraph, bipartition, odd_neighborhood
+from .gf2 import members
+from .graphs import (MeasurementLabel, OpenGraph, VertexNames, bipartition,
+                     expect_json, odd_neighborhood, read_document)
 
 
 @dataclass(frozen=True)
@@ -53,30 +53,29 @@ def strategy_order(strategy: CorrectionStrategy, og: OpenGraph) -> PartialOrder:
 
 def is_extensive(strategy: CorrectionStrategy, og: OpenGraph,
                  order: Optional[PartialOrder] = None) -> bool:
-    """Extensivity: targets of u sit strictly above u (outputs always do)."""
+    """Extensivity: targets of u sit strictly above u (outputs always do).
+
+    Since `order` is transitively closed, it contains every targeting pair
+    exactly when it contains their closure, strategy_order(strategy, og)."""
     try:
         induced = strategy_order(strategy, og)
     except ContractError:
         return False
-    if order is None:
-        return True
-    for u in strategy.x:
-        for v in members(strategy.targets(u) & og.measured):
-            if not order.less(u, v):
-                return False
-    return True
+    return order is None or not any(row & ~order.succ[u]
+                                    for u, row in enumerate(induced.succ))
 
 
 def linearize(order: PartialOrder, domain: int) -> List[int]:
-    """Total order extending `order` on the vertices of `domain` (bitmask),
-    smallest available id first."""
-    todo = sorted(members(domain))
+    """The lexicographically smallest linear extension of `order` on the
+    vertices of `domain` (bitmask): each step places the smallest id whose
+    predecessors in `domain` are all placed."""
+    pred = {u: order.pred_mask(u) & domain for u in members(domain)}
+    todo = domain
     out: List[int] = []
     while todo:
-        pick = next(u for u in todo
-                    if all(not order.less(v, u) for v in todo if v != u))
+        pick = next(u for u in members(todo) if not pred[u] & todo)
         out.append(pick)
-        todo.remove(pick)
+        todo &= ~(1 << pick)
     return out
 
 
@@ -87,9 +86,7 @@ def completed_order(og: OpenGraph, f: CorrectionFlow) -> PartialOrder:
     corrections it drops are exactly those onto earlier vertices of this
     sequence.
     """
-    seq = linearize(f.order, og.measured)
-    return PartialOrder.from_pairs(
-        og.n, [(seq[i], seq[i + 1]) for i in range(len(seq) - 1)])
+    return PartialOrder.chain(og.n, linearize(f.order, og.measured))
 
 
 def synthesize_corrections(og: OpenGraph, f: CorrectionFlow) -> CorrectionStrategy:
@@ -106,13 +103,11 @@ def synthesize_corrections(og: OpenGraph, f: CorrectionFlow) -> CorrectionStrate
     verdict = verify_pauli_flow(og, f)
     if not verdict:
         raise ContractError(f"flow is not valid: {verdict.describe()}")
-    sequence = linearize(f.order, og.measured)
-    position = {u: i for i, u in enumerate(sequence)}
+    later = completed_order(og, f).succ
     x: Dict[int, int] = {}
     z: Dict[int, int] = {}
     for u in sorted(f.p):
-        later = mask_of(v for v in sequence if position[v] > position[u])
-        above = later | og.outputs
+        above = later[u] | og.outputs
         x[u] = f.p[u] & above
         z[u] = odd_neighborhood(og.graph, f.p[u]) & above
     return CorrectionStrategy(x, z)
@@ -140,11 +135,13 @@ def normal_form_equations_hold(og: OpenGraph, p: Mapping[int, int]) -> bool:
 def bipartite_normal_form(og: OpenGraph, g0: CorrectionFlow) -> Dict[int, int]:
     """Rebuild a flow map on a bipartite real open graph into normal form.
 
-    Processes measured vertices from the maximal ones downward (ascending id
-    within a layer); p(u) starts from g(u) and folds in, per correcting
-    vertex above u, the opposite-side part of its already-built set (for
-    X-axis vertices in Odd(g(u))) or the same-side part (for Z-axis vertices
-    in g(u)).  The two defining set equations hold exactly for the result.
+    p(u) starts from g(u) and folds in the built set of each X-axis vertex
+    v != u in Odd(g(u)) (its opposite-side part) and of each Z-axis vertex
+    v != u in g(u) (its same-side part).  Conditions P1 and P2 of the flow
+    put every such v strictly above u, so walking any linear extension of
+    the flow order in reverse builds each p(v) before it is folded in, and
+    every such walk gives the same map.  The two defining set equations
+    hold exactly for the result.
     """
     sides = bipartition(og.graph)
     if sides is None:
@@ -158,23 +155,14 @@ def bipartite_normal_form(og: OpenGraph, g0: CorrectionFlow) -> Dict[int, int]:
     z_axis = og.axis_vertices("Z")
     g = og.graph
 
-    # Reverse topological processing: a vertex goes after everything above it.
-    order = g0.order
-    todo = sorted(g0.p)
     processed: Dict[int, int] = {}
-    while todo:
-        ready = [u for u in todo
-                 if all(v in processed for v in todo if order.less(u, v))]
-        for u in ready:
-            same = side0 if (side0 >> u) & 1 else side1
-            other = side1 if (side0 >> u) & 1 else side0
-            acc = g0.p[u]
-            for v in members(odd_neighborhood(g, g0.p[u]) & ~(1 << u) & x_axis):
-                acc ^= processed[v] & _other_side(v, side0, side1)
-            for v in members(g0.p[u] & ~(1 << u) & z_axis):
-                acc ^= processed[v] & _same_side(v, side0, side1)
-            processed[u] = acc
-        todo = [u for u in todo if u not in processed]
+    for u in reversed(linearize(g0.order, og.measured)):
+        acc = g0.p[u]
+        for v in members(odd_neighborhood(g, g0.p[u]) & ~(1 << u) & x_axis):
+            acc ^= processed[v] & _other_side(v, side0, side1)
+        for v in members(g0.p[u] & ~(1 << u) & z_axis):
+            acc ^= processed[v] & _same_side(v, side0, side1)
+        processed[u] = acc
     return processed
 
 
@@ -240,20 +228,9 @@ def strategy_to_json(strategy: CorrectionStrategy, names: Tuple[str, ...]) -> di
 
 
 def strategy_from_json(doc: Union[str, dict], og: OpenGraph) -> CorrectionStrategy:
-    if isinstance(doc, str):
-        try:
-            doc = json.loads(doc)
-        except json.JSONDecodeError as e:
-            raise FormatError(f"invalid JSON: {e}") from e
-    if not isinstance(doc, dict) or "x" not in doc or "z" not in doc:
-        raise FormatError("strategy document needs 'x' and 'z' keys")
-    index = {name: i for i, name in enumerate(og.names)}
-
-    def resolve(name):
-        if name not in index:
-            raise FormatError(f"unknown vertex {name!r}")
-        return index[name]
-
-    x = {resolve(u): mask_of(resolve(v) for v in ts) for u, ts in doc["x"].items()}
-    z = {resolve(u): mask_of(resolve(v) for v in ts) for u, ts in doc["z"].items()}
+    doc = read_document(doc, "strategy", ("x", "z"))
+    names = VertexNames(og.names)
+    x, z = ({names.id(u): names.mask(targets, f"{key}({u})")
+             for u, targets in expect_json(doc[key], dict, key).items()}
+            for key in ("x", "z"))
     return CorrectionStrategy(x, z)

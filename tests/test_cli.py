@@ -1,10 +1,14 @@
 """Command-line interface: exit codes, formats and end-to-end pipelines."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
 
+import mbqcflow
 from mbqcflow.cli import main
 from mbqcflow.flows import flow_from_json
 from mbqcflow.graphs import (Graph, MeasurementLabel, OpenGraph,
@@ -201,3 +205,52 @@ class TestGenerate:
     def test_bad_labels_exit_2(self, runner):
         res = runner.invoke(main, ["generate", "--n", "4", "--labels", "Q"])
         assert res.exit_code == 2
+
+
+def _pattern_doc(*commands):
+    return {"vertices": ["a"], "input": [], "output": [], "commands":
+            [{"type": "N", "qubit": "a"}] + list(commands)}
+
+
+def _graph_doc(**changes):
+    doc = open_graph_to_json(fork_instance())
+    doc.update(changes)
+    return doc
+
+
+_FORK_FLOW = ["verify-flow", "graph.json", "flow.json"]
+
+MALFORMED = {
+    "angle-without-equals": (["parallelize", "path.json", "--angle", "foo"], {}),
+    "angle-zero-denominator": (["synthesize", "graph.json", "--angle", "2=1/0"], {}),
+    "angle-unknown-vertex": (["synthesize", "graph.json", "--angle", "zz=1"], {}),
+    "graph-edges-not-a-list": (["find-flow", "bad.json"], {"bad.json": _graph_doc(edges=5)}),
+    "graph-label-not-a-string": (["find-flow", "bad.json"],
+                                 {"bad.json": _graph_doc(labels={"1": 3, "2": "X"})}),
+    "flow-p-not-an-object": (_FORK_FLOW, {"flow.json": {"p": ["2"]}}),
+    "flow-targets-not-a-list": (_FORK_FLOW, {"flow.json": {"p": {"2": 5}}}),
+    "pattern-entangles-one-qubit": (["check", "pat.json"], {"pat.json": _pattern_doc(
+        {"type": "E", "qubits": ["a", "a"]})}),
+    "pattern-angle-zero-denominator": (["check", "pat.json"], {"pat.json": _pattern_doc(
+        {"type": "M", "qubit": "a", "label": "XY", "angle": {"num": 1, "den": 0}})}),
+    "graph-not-utf8": (["find-flow", "bad.json"], {"bad.json": b"\xff\xfe"}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_exits_2_with_one_error_line(tmp_path, case):
+    argv, files = MALFORMED[case]
+    write_graph(tmp_path, fork_instance())
+    write_graph(tmp_path, bipartite_instance(), "path.json")
+    (tmp_path / "flow.json").write_text(json.dumps({"p": {"1": ["2"], "2": ["1", "3"]}}))
+    for name, doc in files.items():
+        data = doc if isinstance(doc, bytes) else json.dumps(doc).encode()
+        (tmp_path / name).write_bytes(data)
+    src = os.path.dirname(os.path.dirname(mbqcflow.__file__))
+    proc = subprocess.run([sys.executable, "-m", "mbqcflow.cli"] + argv,
+                          cwd=tmp_path, capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr

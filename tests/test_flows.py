@@ -33,6 +33,18 @@ class TestPartialOrder:
         with pytest.raises(ValueError):
             PartialOrder.from_pairs(1, [(0, 0)])
 
+    def test_constructor_rejects_unclosed_relation(self):
+        # 0 < 1 and 1 < 2 without 0 < 2
+        with pytest.raises(ValueError):
+            PartialOrder(3, (0b010, 0b100, 0))
+        assert PartialOrder(3, (0b110, 0b100, 0)).less(0, 2)
+
+    def test_chain_is_the_closed_total_order(self):
+        o = PartialOrder.chain(4, [2, 0, 3])
+        assert o == PartialOrder.from_pairs(4, [(2, 0), (0, 3)])
+        with pytest.raises(ValueError):
+            PartialOrder.chain(3, [0, 1, 0])
+
     def test_empty(self):
         o = PartialOrder.empty(4)
         assert not any(o.less(a, b) for a in range(4) for b in range(4))

@@ -1,5 +1,6 @@
 """Correction synthesis, bipartite normal form and parallelization."""
 
+import itertools
 import random
 
 import pytest
@@ -85,6 +86,19 @@ class TestOrders:
         assert seq.index(2) < seq.index(0)
         # smallest id first among available vertices
         assert seq == [1, 2, 0]
+
+    def test_linearize_is_lexicographically_smallest(self):
+        rng = random.Random(7)
+        for _ in range(40):
+            rank = rng.sample(range(6), 6)  # pairs rise in rank, so never cycle
+            pairs = [tuple(sorted(rng.sample(range(6), 2), key=rank.__getitem__))
+                     for _ in range(4)]
+            order = PartialOrder.from_pairs(6, pairs)
+            domain = rng.randrange(1 << 6)
+            extensions = [list(seq) for seq in itertools.permutations(members(domain))
+                          if not any(order.less(b, a) for i, a in enumerate(seq)
+                                     for b in seq[i + 1:])]
+            assert linearize(order, domain) == min(extensions)
 
     def test_completed_order_total(self):
         og, f = single_edge_instance()
