@@ -22,8 +22,7 @@ from .instances import DEFAULT_LABELS, InstanceSpec, generate_instance
 from .patterns import (Angle, Mbqc, Measure, _parse_angle, of_pattern, parse,
                        pattern_from_json, print_pattern, standardize,
                        to_pattern, validate)
-from .search import (BRUTE_FORCE_IC_BOUND, BRUTE_FORCE_OC_BOUND,
-                     find_pauli_flow, find_pauli_flow_bruteforce, flow_depth)
+from .search import find_pauli_flow, find_pauli_flow_bruteforce, flow_depth
 from .statevec import (check_deterministic, check_robust_deterministic,
                        check_strong_deterministic)
 from .synthesis import (bipartite_normal_form, parallel_measurement_order,
@@ -114,21 +113,18 @@ def cmd_verify_flow(graph_file, flow_file, as_json):
 
 @main.command("find-flow")
 @click.argument("graph_file", type=click.Path(exists=True))
-@click.option("--brute-force-bound", default=BRUTE_FORCE_OC_BOUND, show_default=True,
-              help="Max measured vertices for the exhaustive fallback.")
 @click.option("--json", "as_json", is_flag=True)
 @click.option("-o", "--output", type=click.Path())
-def cmd_find_flow(graph_file, brute_force_bound, as_json, output):
+def cmd_find_flow(graph_file, as_json, output):
     """Search for a flow; prints the witness or 'none'."""
     og = _load(graph_file, open_graph_from_json)
-    result = find_pauli_flow(og, oc_bound=brute_force_bound,
-                             ic_bound=max(BRUTE_FORCE_IC_BOUND, brute_force_bound))
+    result = find_pauli_flow(og)
     if result.found:
         doc = flow_to_json(result.flow, og.names)
-        doc["depth"] = flow_depth(result.flow)
+        doc.update(depth=flow_depth(result.flow), status="found", stats=result.stats)
         _emit(json.dumps(doc, indent=2), output)
         sys.exit(0)
-    _report({"status": result.status}, as_json, result.status)
+    _report({"status": "none", "stats": result.stats}, as_json, "none")
     sys.exit(1)
 
 

@@ -9,6 +9,9 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional, Tuple
 
+# Largest nullspace dimension that min_weight_solution enumerates (2^14 sums).
+ENUMERATE_LIMIT = 14
+
 
 def mask_of(vertices: Iterable[int]) -> int:
     """Bitmask with one bit per listed index."""
@@ -99,14 +102,15 @@ def solve(rows: List[int], rhs: List[int], ncols: int) -> Optional[Tuple[int, Li
     return particular, basis
 
 
-def min_weight_solution(particular: int, basis: List[int], enumerate_limit: int = 14) -> int:
-    """Minimum-popcount solution in the affine space particular + span(basis).
+def min_weight_solution(particular: int, basis: List[int]) -> int:
+    """Canonical element of the affine space particular + span(basis).
 
-    Ties break toward the smallest bitmask value.  With more than
-    `enumerate_limit` free dimensions the particular solution is returned
-    (desk-scale instances never get there).
+    With at most ENUMERATE_LIMIT basis vectors it is the minimum-popcount
+    element, ties broken toward the smallest bitmask.  Beyond that it is
+    `particular` itself; for the output of `solve` that is the reduced-echelon
+    solution with the free variables set to zero, unique for the system.
     """
-    if len(basis) > enumerate_limit:
+    if len(basis) > ENUMERATE_LIMIT:
         return particular
     best = particular
     best_key = (popcount(particular), particular)

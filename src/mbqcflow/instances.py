@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from dataclasses import dataclass
+from typing import Tuple
 
 from .errors import ContractError
 from .flows import input_label_constraint

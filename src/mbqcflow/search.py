@@ -1,11 +1,24 @@
-"""Search for Pauli flows: layered GF(2) search plus an exhaustive oracle.
+"""Search for Pauli flows: an exact layered GF(2) search plus an exhaustive oracle.
 
-The layered search peels vertices from the outputs inward, solving the
-per-vertex membership conditions as GF(2) linear systems.  No completeness
-claim is made for it in general; on small instances it falls back to the
-brute-force oracle, which decides existence exactly by enumerating total
-orders (any flow order extends to a total order, and coarser orders only
-weaken the conditions, so total orders suffice for existence).
+K_A(p) is Odd(p) for axis X, Odd(p) xor p for Y and p for Z.  A flow puts each
+measured u in K_A(p(u)) and outside K_A(p(v)) for every measured v != u with
+not(v < u), for each axis A of u's label.  `find_pauli_flow` peels layers
+from the outputs inward: each round assigns p(u) to every vertex u of the
+remaining set R whose system (u in its own K_A, every other w in R outside
+its K_B) has a solution inside the input complement.
+
+Soundness: the order puts v < u exactly when v was solved in a later round.
+So every v != u with not(v < u) was solved while u was still in R, and p(v)
+keeps u out of each K_A(p(v)).
+
+Completeness (Mhalla & Perdrix 2008): in any flow, a vertex that is maximal
+among R under its order solves its system for R, and the system depends only
+on R.  So while a flow exists every round solves a vertex; a round that
+solves none proves that no flow exists.
+
+`find_pauli_flow_bruteforce` decides existence by enumerating total orders
+(any flow order extends to a total order, and coarser orders only weaken the
+conditions); it is kept as an independent oracle.
 """
 
 from __future__ import annotations
@@ -15,9 +28,9 @@ from itertools import permutations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import CapacityError
-from .flows import CorrectionFlow, PartialOrder, verify_pauli_flow
-from .gf2 import members, min_weight_solution, popcount, solve
-from .graphs import OpenGraph, odd_neighborhood
+from .flows import CorrectionFlow, PartialOrder
+from .gf2 import mask_of, members, min_weight_solution, popcount, solve
+from .graphs import OpenGraph
 
 BRUTE_FORCE_OC_BOUND = 6
 BRUTE_FORCE_IC_BOUND = 8
@@ -25,11 +38,10 @@ BRUTE_FORCE_IC_BOUND = 8
 
 @dataclass
 class FlowSearchResult:
-    """Search outcome: status is 'found', 'none' (proved) or 'unknown'."""
+    """Search outcome: status is 'found' (with its flow) or 'none' (proved)."""
 
     status: str
     flow: Optional[CorrectionFlow] = None
-    layers: Optional[Dict[int, int]] = None
     stats: Dict[str, int] = field(default_factory=dict)
 
     @property
@@ -77,7 +89,7 @@ def find_pauli_flow_bruteforce(
     stats = {"orders": 0, "candidate_tests": 0}
     if not oc:
         return FlowSearchResult(
-            "found", CorrectionFlow({}, PartialOrder.empty(og.n)), {}, stats)
+            "found", CorrectionFlow({}, PartialOrder.empty(og.n)), stats)
 
     axis_mask = {a: og.axis_vertices(a) for a in "XYZ"}
 
@@ -117,115 +129,59 @@ def find_pauli_flow_bruteforce(
             chosen[u] = best
             prefix |= bit
         if ok:
-            pairs = [(perm[i], perm[j]) for i in range(len(perm))
-                     for j in range(i + 1, len(perm))]
-            flow = CorrectionFlow(chosen, PartialOrder.from_pairs(og.n, pairs))
-            layers = {u: i for i, u in enumerate(perm)}
-            return FlowSearchResult("found", flow, layers, stats)
+            flow = CorrectionFlow(chosen, PartialOrder.chain(og.n, perm))
+            return FlowSearchResult("found", flow, stats)
     return FlowSearchResult("none", stats=stats)
 
 
-def find_pauli_flow(
-    og: OpenGraph,
-    oc_bound: int = BRUTE_FORCE_OC_BOUND,
-    ic_bound: int = BRUTE_FORCE_IC_BOUND,
-) -> FlowSearchResult:
-    """Layered search with brute-force fallback on small instances.
+def find_pauli_flow(og: OpenGraph) -> FlowSearchResult:
+    """Decide whether `og` has a Pauli flow (exact; see the module docstring).
 
-    Each round solves, for every still-unassigned vertex u, a GF(2) system
-    asking for p(u) inside the input complement that fixes u's own membership
-    conditions while avoiding the membership sets of every other unassigned
-    vertex.  All solvable vertices of a round share a layer; later layers are
-    measured earlier.  Among solutions the minimum-cardinality one (smallest
-    bitmask on ties) is kept for reproducibility.
+    The vertices solved in one round share a layer; later layers are measured
+    earlier.  p(u) is the minimum-weight solution (smallest bitmask on ties)
+    when the solution space has at most `gf2.ENUMERATE_LIMIT` free dimensions,
+    and the reduced-echelon solution with the free variables set to zero
+    beyond that; both choices are canonical.
     """
-    oc = sorted(og.labels)
     ic = members(og.non_inputs)
     col_of = {v: i for i, v in enumerate(ic)}
-    ncols = len(ic)
-    g = og.graph
-    stats = {"rounds": 0, "solves": 0}
+    adjacency = og.graph.adjacency
 
     def compress(row_mask: int) -> int:
-        out = 0
-        for v in members(row_mask):
-            if v in col_of:
-                out |= 1 << col_of[v]
-        return out
+        return mask_of(col_of[v] for v in members(row_mask & og.non_inputs))
 
     def expand(x: int) -> int:
-        out = 0
-        for i in members(x):
-            out |= 1 << ic[i]
-        return out
+        return mask_of(ic[i] for i in members(x))
 
-    remaining = set(oc)
+    def axis_rows(u: int) -> List[int]:
+        sets = {"X": adjacency[u], "Y": adjacency[u] ^ (1 << u), "Z": 1 << u}
+        return [compress(sets[a]) for a in "XYZ" if a in og.labels[u].axes]
+
+    rows_of = {u: axis_rows(u) for u in og.labels}
+    remaining = sorted(og.labels)
     chosen: Dict[int, int] = {}
-    rounds: List[List[int]] = []
+    succ = [0] * og.n
+    solved = 0  # vertices of earlier rounds: all of them are measured later
+    stats = {"rounds": 0, "solves": 0}
     while remaining:
         stats["rounds"] += 1
-        found_this_round: Dict[int, int] = {}
-        for u in sorted(remaining):
-            rows: List[int] = []
-            rhs: List[int] = []
-            axes = og.labels[u].axes
-            if "X" in axes:
-                rows.append(compress(g.adjacency[u]))
-                rhs.append(1)
-            if "Y" in axes:
-                rows.append(compress(g.adjacency[u] ^ (1 << u)))
-                rhs.append(1)
-            if "Z" in axes:
-                rows.append(compress(1 << u))
-                rhs.append(1)
-            for w in remaining:
-                if w == u:
-                    continue
-                w_axes = og.labels[w].axes
-                if "X" in w_axes:
-                    rows.append(compress(g.adjacency[w]))
-                    rhs.append(0)
-                if "Y" in w_axes:
-                    rows.append(compress(g.adjacency[w] ^ (1 << w)))
-                    rhs.append(0)
-                if "Z" in w_axes:
-                    rows.append(compress(1 << w))
-                    rhs.append(0)
+        layer: Dict[int, int] = {}
+        for u in remaining:
+            own = rows_of[u]
+            others = [r for w in remaining if w != u for r in rows_of[w]]
             stats["solves"] += 1
-            sol = solve(rows, rhs, ncols)
+            sol = solve(own + others, [1] * len(own) + [0] * len(others), len(ic))
             if sol is not None:
-                particular, basis = sol
-                found_this_round[u] = expand(min_weight_solution(particular, basis))
-        if not found_this_round:
-            break
-        rounds.append(sorted(found_this_round))
-        chosen.update(found_this_round)
-        remaining -= set(found_this_round)
-
-    if not remaining:
-        nrounds = len(rounds)
-        pairs = []
-        for r_late, late in enumerate(rounds):
-            for r_early in range(r_late):
-                for u in late:
-                    for v in rounds[r_early]:
-                        pairs.append((u, v))  # u measured before v
-        flow = CorrectionFlow(chosen, PartialOrder.from_pairs(og.n, pairs))
-        verdict = verify_pauli_flow(og, flow)
-        if verdict:
-            layers = {}
-            for r, layer_vertices in enumerate(rounds):
-                for u in layer_vertices:
-                    layers[u] = nrounds - 1 - r
-            return FlowSearchResult("found", flow, layers, stats)
-        # The layered construction should never emit an invalid flow; fall
-        # through to the exact oracle rather than trust it.
-
-    if len(oc) <= oc_bound and ncols <= ic_bound:
-        result = find_pauli_flow_bruteforce(og, oc_bound=oc_bound, ic_bound=ic_bound)
-        result.stats.update(stats)
-        return result
-    return FlowSearchResult("unknown", stats=stats)
+                layer[u] = expand(min_weight_solution(*sol))
+        if not layer:
+            return FlowSearchResult("none", stats=stats)
+        for u in layer:
+            succ[u] = solved
+        solved |= mask_of(layer)
+        chosen.update(layer)
+        remaining = [u for u in remaining if u not in layer]
+    flow = CorrectionFlow(chosen, PartialOrder(og.n, tuple(succ)))
+    return FlowSearchResult("found", flow, stats)
 
 
 def flow_depth(f: CorrectionFlow) -> int:

@@ -332,8 +332,8 @@ def test_criterion_4_counterexamples_cli():
         for entry in doc["instances"]:
             legs += len(entry["legs"])
             ok = ok and all(entry["legs"].values())
-    report(4, ok, f"{legs} legs in {elapsed:.3f}s")
-    assert ok, res.output
+    report(4, ok, f"{legs} legs")
+    assert ok, f"{elapsed:.3f}s: {res.output}"
 
 
 # ---------------------------------------------------------------------------

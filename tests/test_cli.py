@@ -87,6 +87,8 @@ class TestFindFlow:
         assert res.exit_code == 0, res.output
         doc = json.loads(out.read_text())
         assert "depth" in doc
+        assert doc["status"] == "found"
+        assert set(doc["stats"]) == {"rounds", "solves"}
         flow = flow_from_json({k: doc[k] for k in ("p", "order")}, og)
         from mbqcflow.flows import verify_pauli_flow
         assert verify_pauli_flow(og, flow)
@@ -96,6 +98,11 @@ class TestFindFlow:
         res = runner.invoke(main, ["find-flow", gpath])
         assert res.exit_code == 1
         assert "none" in res.output
+        res = runner.invoke(main, ["find-flow", gpath, "--json"])
+        assert res.exit_code == 1
+        doc = json.loads(res.output)
+        assert doc["status"] == "none"
+        assert set(doc["stats"]) == {"rounds", "solves"}
 
 
 class TestSynthesize:

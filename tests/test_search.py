@@ -64,10 +64,20 @@ def test_bruteforce_agrees_with_direct_enumeration():
     assert checked == 40
 
 
+def seven_measured_instances(count, seed):
+    """n = 8 with one input and one output: exactly seven measured vertices,
+    one more than the brute-force oracle's default bound."""
+    rng = random.Random(seed)
+    return [generate_instance(InstanceSpec(n=8, seed=rng.randrange(10**6),
+                                           n_inputs=1, n_outputs=1,
+                                           reject_input_z=True))
+            for _ in range(count)]
+
+
 def test_layered_agrees_with_bruteforce():
-    for og in small_instances(80, seed=3):
+    for og in small_instances(80, seed=3) + seven_measured_instances(40, seed=4):
         r = find_pauli_flow(og)
-        b = find_pauli_flow_bruteforce(og)
+        b = find_pauli_flow_bruteforce(og, oc_bound=7)
         assert r.status in ("found", "none")
         assert r.found == b.found
         if r.found:
@@ -93,9 +103,23 @@ def test_capacity_bounds_enforced():
     with pytest.raises(CapacityError):
         find_pauli_flow_bruteforce(og)
     # the layered search itself still runs; this line graph has a causal flow
-    r = find_pauli_flow(og, oc_bound=6)
+    r = find_pauli_flow(og)
     assert r.found
     assert verify_pauli_flow(og, r.flow)
+
+
+def test_none_is_proven_beyond_bruteforce_bound():
+    # a 9-vertex XY path into an output has a flow, an isolated X vertex has
+    # none, and a disjoint union has a flow only if every component has one
+    path = OpenGraph(Graph.from_edges(9, [(i, i + 1) for i in range(8)]), 0,
+                     1 << 8, {i: MeasurementLabel.XY for i in range(8)})
+    assert find_pauli_flow(path).found
+    labels = dict(path.labels)
+    labels[9] = MeasurementLabel.X
+    union = OpenGraph(Graph.from_edges(10, [(i, i + 1) for i in range(8)]), 0,
+                      1 << 8, labels)
+    assert len(union.labels) == 9
+    assert find_pauli_flow(union).status == "none"
 
 
 def test_no_measured_vertices():
