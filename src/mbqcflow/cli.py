@@ -72,7 +72,8 @@ def _pattern_measurement_order(pat) -> PartialOrder:
 def _angles(og: OpenGraph, angle_opts) -> Dict[int, Angle]:
     """0 on Pauli labels and pi/4 on planes, overridden by `--angle NAME=VALUE`
     options: `k/d` or `k` are fractions of pi, anything else float radians.
-    A malformed option exits with code 2."""
+    A malformed option, an unmeasured vertex or a Pauli-measured vertex with
+    an angle other than 0 or pi exits with code 2."""
     angles = {u: Angle.from_fraction(0) if lab.is_pauli else Angle.from_fraction(1, 4)
               for u, lab in og.labels.items()}
     names = VertexNames(og.names)
@@ -86,8 +87,11 @@ def _angles(og: OpenGraph, angle_opts) -> Dict[int, Angle]:
                 angle = _parse_angle([value, "pi"], None)
             except FormatError:
                 angle = _parse_angle([value], None)
-            if u in angles:
-                angles[u] = angle
+            if u not in angles:
+                raise FormatError(f"vertex {name} is not measured")
+            if og.labels[u].is_pauli and not angle.is_zero_or_pi:
+                raise FormatError(f"Pauli-measured vertex {name} takes 0 or pi, not {value}")
+            angles[u] = angle
     except FormatError as e:
         _fail_parse(f"--angle: {e}")
     return angles

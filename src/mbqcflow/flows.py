@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import ContractError, FormatError
-from .gf2 import mask_of, members, popcount
+from .gf2 import mask_of, members
 from .graphs import (MeasurementLabel, OpenGraph, VertexNames,
                      closed_odd_neighborhood, expect_json, odd_neighborhood,
                      read_document)
@@ -231,7 +231,7 @@ def verify_causal_flow(og: OpenGraph, f: CorrectionFlow) -> Verdict:
         raise ContractError("causal flow requires every label to be a measurement plane")
     _check_well_formed(og, f)
     for u in sorted(f.p):
-        if popcount(f.p[u]) != 1:
+        if f.p[u].bit_count() != 1:
             return Verdict(False, u, "singleton")
     return verify_pauli_flow(og, f)
 

@@ -33,10 +33,6 @@ def members(mask: int) -> List[int]:
     return out
 
 
-def popcount(mask: int) -> int:
-    return mask.bit_count()
-
-
 def rank(rows: Iterable[int]) -> int:
     """Rank of the span of the given row bitmasks."""
     basis: List[int] = []
@@ -105,7 +101,7 @@ def solve(rows: List[int], rhs: List[int], ncols: int) -> Optional[Tuple[int, Li
 def min_weight_solution(particular: int, basis: List[int]) -> int:
     """Canonical element of the affine space particular + span(basis).
 
-    With at most ENUMERATE_LIMIT basis vectors it is the minimum-popcount
+    With at most ENUMERATE_LIMIT basis vectors it is the minimum-weight
     element, ties broken toward the smallest bitmask.  Beyond that it is
     `particular` itself; for the output of `solve` that is the reduced-echelon
     solution with the free variables set to zero, unique for the system.
@@ -113,7 +109,7 @@ def min_weight_solution(particular: int, basis: List[int]) -> int:
     if len(basis) > ENUMERATE_LIMIT:
         return particular
     best = particular
-    best_key = (popcount(particular), particular)
+    best_key = (particular.bit_count(), particular)
     for combo in range(1, 1 << len(basis)):
         x = particular
         c = combo
@@ -123,7 +119,7 @@ def min_weight_solution(particular: int, basis: List[int]) -> int:
                 x ^= basis[i]
             c >>= 1
             i += 1
-        key = (popcount(x), x)
+        key = (x.bit_count(), x)
         if key < best_key:
             best, best_key = x, key
     return best

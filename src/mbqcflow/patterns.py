@@ -124,14 +124,6 @@ class Pattern:
         elif len(self.names) != self.n:
             raise ValueError("names length does not match qubit count")
 
-    @property
-    def measured_qubits(self) -> int:
-        return mask_of(c.qubit for c in self.commands if isinstance(c, Measure))
-
-    @property
-    def created_qubits(self) -> int:
-        return mask_of(c.qubit for c in self.commands if isinstance(c, New))
-
 
 @dataclass(frozen=True)
 class PatternVerdict:

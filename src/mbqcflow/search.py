@@ -29,7 +29,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import CapacityError
 from .flows import CorrectionFlow, PartialOrder
-from .gf2 import mask_of, members, min_weight_solution, popcount, solve
+from .gf2 import mask_of, members, min_weight_solution, solve
 from .graphs import OpenGraph
 
 BRUTE_FORCE_OC_BOUND = 6
@@ -81,7 +81,7 @@ def find_pauli_flow_bruteforce(
     containing the given a-before-b constraints.
     """
     oc = sorted(og.labels)
-    ic_size = popcount(og.non_inputs)
+    ic_size = og.non_inputs.bit_count()
     if len(oc) > oc_bound or ic_size > ic_bound:
         raise CapacityError(
             f"brute force bounded to |O^c| <= {oc_bound} and |I^c| <= {ic_bound}")
@@ -120,7 +120,7 @@ def find_pauli_flow_bruteforce(
                     continue
                 if oc_mask & fx or codd & fy or c & fz:
                     continue
-                key = (popcount(c), c)
+                key = (c.bit_count(), c)
                 if best_key is None or key < best_key:
                     best, best_key = c, key
             if best is None:

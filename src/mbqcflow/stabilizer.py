@@ -4,6 +4,13 @@ A Pauli operator is stored as i^phase * X_x * Z_z with bitmasks x, z and
 phase mod 4.  Stabilizer states are n independent commuting Hermitian
 generators; measurements update the generator list exactly (no sampling), so
 every outcome branch can be explored.
+
+A state is checked once, by its public constructor.  Updates build their
+results unchecked (`_evolve`): each keeps n independent commuting Hermitian
+generators on the register (Aaronson & Gottesman 2004).  `apply_pauli` flips
+signs, `reorder_generators` multiplies and swaps, and `collapse` multiplies
+the generators anticommuting with m by the pivot (so they commute with m and
+stay Hermitian) and puts +-m, checked by `measure_outcome`, in its place.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import ContractError
-from .gf2 import mask_of, members, popcount, solve
+from .gf2 import mask_of, members, rank, solve
 from .graphs import MeasurementLabel, OpenGraph
 from .patterns import Angle, Mbqc, measurement_linearization
 
@@ -32,22 +39,22 @@ class PauliOperator:
 
     def __mul__(self, other: "PauliOperator") -> "PauliOperator":
         # Z_{z1} X_{x2} = (-1)^{|z1 & x2|} X_{x2} Z_{z1}
-        phase = self.phase + other.phase + 2 * popcount(self.z & other.x)
+        phase = self.phase + other.phase + 2 * (self.z & other.x).bit_count()
         return PauliOperator(phase, self.x ^ other.x, self.z ^ other.z)
 
     def commutes(self, other: "PauliOperator") -> bool:
-        return (popcount(self.x & other.z) + popcount(self.z & other.x)) % 2 == 0
+        return ((self.x & other.z).bit_count() + (self.z & other.x).bit_count()) % 2 == 0
 
     @property
     def is_hermitian(self) -> bool:
-        return (self.phase - popcount(self.x & self.z)) % 2 == 0
+        return (self.phase - (self.x & self.z).bit_count()) % 2 == 0
 
     @property
     def sign(self) -> int:
         """+1 or -1 for a Hermitian operator relative to i^{|x&z|} X_x Z_z."""
         if not self.is_hermitian:
             raise ContractError("sign is only defined for Hermitian operators")
-        return 1 if (self.phase - popcount(self.x & self.z)) % 4 == 0 else -1
+        return 1 if (self.phase - (self.x & self.z).bit_count()) % 4 == 0 else -1
 
     def negate(self) -> "PauliOperator":
         return PauliOperator(self.phase + 2, self.x, self.z)
@@ -87,11 +94,6 @@ def measurement_operator(label: MeasurementLabel, angle: Angle, qubit: int) -> P
     return PauliOperator.single(label.to_string(), qubit, sign)
 
 
-def _independent(ops: Sequence[PauliOperator], n: int) -> bool:
-    from .gf2 import rank
-    return rank([op.x | (op.z << n) for op in ops]) == len(ops)
-
-
 @dataclass
 class StabilizerState:
     """n commuting independent Hermitian generators on n qubits."""
@@ -110,11 +112,22 @@ class StabilizerState:
             for h in self.generators[i + 1:]:
                 if not g.commutes(h):
                     raise ContractError("generators must pairwise commute")
-        if not _independent(self.generators, self.n):
+        if rank(g.x | (g.z << self.n) for g in self.generators) != self.n:
             raise ContractError("generators must be independent")
 
-    def copy(self) -> "StabilizerState":
-        return StabilizerState(self.n, list(self.generators))
+    def _evolve(self, generators: List[PauliOperator]) -> "StabilizerState":
+        """Same register, generators from a valid update: not re-checked."""
+        out = object.__new__(StabilizerState)
+        out.n, out.generators = self.n, generators
+        return out
+
+
+def _product(generators: Sequence[PauliOperator], combo: int) -> PauliOperator:
+    """Product of the generators whose indices are set in `combo`."""
+    prod = PauliOperator.identity()
+    for i in members(combo):
+        prod = prod * generators[i]
+    return prod
 
 
 def initial_stabilizers(og: OpenGraph, zero_inputs: int = 0) -> StabilizerState:
@@ -137,16 +150,21 @@ def initial_stabilizers(og: OpenGraph, zero_inputs: int = 0) -> StabilizerState:
 def apply_pauli(state: StabilizerState, p: PauliOperator) -> StabilizerState:
     """Conjugate the state by a Pauli unitary: anticommuting generators flip sign."""
     gens = [g if g.commutes(p) else g.negate() for g in state.generators]
-    return StabilizerState(state.n, gens)
+    return state._evolve(gens)
 
 
 def measure_outcome(state: StabilizerState, m: PauliOperator) -> Optional[int]:
-    """0/1 when measuring m has a determined outcome, None when uniform."""
+    """0/1 when measuring m has a determined outcome, None when uniform.
+
+    m must be Hermitian and inside the register.  If it commutes with all n
+    independent generators, it is up to phase a product of them, and that
+    product is Hermitian like m, so the two phases differ by 0 or 2."""
     if not m.is_hermitian:
         raise ContractError("measurement operator must be Hermitian")
+    if (m.x | m.z) >> state.n:
+        raise ContractError("measurement operator acts outside the register")
     if any(not g.commutes(m) for g in state.generators):
         return None
-    # m commutes with a maximal group: +-m is a product of generators.
     n = state.n
     rows = []
     for b in range(2 * n):
@@ -155,36 +173,25 @@ def measure_outcome(state: StabilizerState, m: PauliOperator) -> Optional[int]:
     target = m.x | (m.z << n)
     rhs = [(target >> b) & 1 for b in range(2 * n)]
     sol = solve(rows, rhs, len(state.generators))
-    if sol is None:
-        raise ContractError("operator commutes with the group but is not in it")
-    combo, _ = sol
-    prod = PauliOperator.identity()
-    for i in members(combo):
-        prod = prod * state.generators[i]
-    if prod.x != m.x or prod.z != m.z:
-        raise ContractError("operator commutes with the group but is not in it")
-    if prod.phase == m.phase:
-        return 0
-    if prod.phase == (m.phase + 2) % 4:
-        return 1
-    raise ContractError("phase mismatch in group membership")
+    assert sol is not None  # m is in the span (see above)
+    return 0 if _product(state.generators, sol[0]).phase == m.phase else 1
 
 
 def collapse(state: StabilizerState, m: PauliOperator, outcome: int) -> StabilizerState:
-    """Post-measurement state for the branch with the given outcome bit."""
-    signed = m if outcome == 0 else m.negate()
-    anti = [i for i, g in enumerate(state.generators) if not g.commutes(m)]
-    if not anti:
-        det = measure_outcome(state, m)
+    """Post-measurement state for the branch with the given outcome bit; m is
+    checked by `measure_outcome`.  A determined outcome returns the state."""
+    det = measure_outcome(state, m)
+    if det is not None:
         if det != outcome:
             raise ContractError("collapse onto a zero-probability branch")
-        return state.copy()
+        return state
+    anti = [i for i, g in enumerate(state.generators) if not g.commutes(m)]
     pivot = anti[0]
     gens = list(state.generators)
     for i in anti[1:]:
         gens[i] = gens[i] * gens[pivot]
-    gens[pivot] = signed
-    return StabilizerState(state.n, gens)
+    gens[pivot] = m if outcome == 0 else m.negate()
+    return state._evolve(gens)
 
 
 def reorder_generators(state: StabilizerState,
@@ -208,7 +215,7 @@ def reorder_generators(state: StabilizerState,
         for j in anti[1:]:
             gens[j] = gens[j] * gens[pivot]
         gens[i], gens[pivot] = gens[pivot], gens[i]
-    return StabilizerState(state.n, gens)
+    return state._evolve(gens)
 
 
 def canonical_generators(generators: Sequence[PauliOperator], n: int) -> Tuple[PauliOperator, ...]:
@@ -248,14 +255,7 @@ def restricted_generators(state: StabilizerState, support: int) -> List[PauliOpe
         rows.append(mask_of(i for i, g in enumerate(state.generators) if (g.z >> b) & 1))
     sol = solve(rows, [0] * len(rows), len(state.generators))
     assert sol is not None  # homogeneous system
-    _, basis = sol
-    out = []
-    for combo in basis:
-        prod = PauliOperator.identity()
-        for i in members(combo):
-            prod = prod * state.generators[i]
-        out.append(prod)
-    return out
+    return [_product(state.generators, combo) for combo in sol[1]]
 
 
 def output_group_signature(state: StabilizerState, outputs: int) -> Tuple[PauliOperator, ...]:
@@ -308,12 +308,7 @@ def state_distance(psi: np.ndarray, state: StabilizerState) -> float:
 
 def correction_operator(strategy, u: int) -> PauliOperator:
     """Pauli applied when the outcome at u is 1: X on x(u), Z on z(u)."""
-    corr = PauliOperator.identity()
-    for v in members(strategy.x[u]):
-        corr = corr * PauliOperator.single("X", v)
-    for v in members(strategy.z[u]):
-        corr = corr * PauliOperator.single("Z", v)
-    return corr
+    return PauliOperator(0, strategy.x[u], strategy.z[u])
 
 
 def pauli_runs(

@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import CapacityError, ContractError
-from .gf2 import members, popcount
+from .gf2 import members
 from .graphs import MeasurementLabel, OpenGraph
 from .patterns import (Angle, CorrectX, CorrectZ, Entangle, Measure, Mbqc, New,
                        Pattern, measurement_order, to_pattern, validate)
@@ -217,7 +217,7 @@ def _proportional(a: np.ndarray, b: np.ndarray, tol: float) -> bool:
 def check_deterministic(pat: Pattern, tol: float = DEFAULT_TOL, seed: int = 0,
                         capacity: int = DEFAULT_CAPACITY) -> bool:
     """Every input is sent, up to scale, to the same output on all branches."""
-    d_in = 1 << popcount(pat.inputs)
+    d_in = 1 << pat.inputs.bit_count()
     tests = _test_vectors(d_in, real=False, seed=seed)
     branches = run_pattern(pat, input_state=tests, capacity=capacity)
     ref = branches[0].state
@@ -237,7 +237,7 @@ def check_strong_deterministic(pat: Pattern, tol: float = DEFAULT_TOL,
     global phase.  With `real_inputs` the phase may depend on the input, so
     the check is per real test vector: proportional and equal norm.
     """
-    d_in = 1 << popcount(pat.inputs)
+    d_in = 1 << pat.inputs.bit_count()
     if real_inputs:
         tests = _test_vectors(d_in, real=True, seed=seed)
         branches = run_pattern(pat, input_state=tests, capacity=capacity)

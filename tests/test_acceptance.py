@@ -16,7 +16,7 @@ from click.testing import CliRunner
 from mbqcflow.cli import main as cli_main
 from mbqcflow.flows import (CorrectionFlow, PartialOrder, verify_pauli_flow,
                             verify_pauli_flow_original, verify_real_pauli_flow)
-from mbqcflow.gf2 import mask_of, members, popcount, row_space_equal
+from mbqcflow.gf2 import mask_of, members, row_space_equal
 from mbqcflow.graphs import Graph, MeasurementLabel, OpenGraph
 from mbqcflow.instances import InstanceSpec, generate_instance
 from mbqcflow.patterns import (Angle, Mbqc, PI_ANGLE, ZERO_ANGLE, parse,
@@ -457,7 +457,7 @@ def test_criterion_7_stabilizer_agreement():
         m = Mbqc(og, random_angles(og, rng),
                  synthesize_corrections(og, r.flow))
         pat = to_pattern(m, completed_order(og, r.flow))
-        k = popcount(og.inputs)
+        k = og.inputs.bit_count()
         plus = np.full((1 << k, 1), 2 ** (-k / 2), dtype=complex)
         sv = {frozenset(b.outcomes.items()): b.state[:, 0]
               for b in run_pattern(pat, input_state=plus, keep_measured=True)}

@@ -231,6 +231,8 @@ MALFORMED = {
     "angle-without-equals": (["parallelize", "path.json", "--angle", "foo"], {}),
     "angle-zero-denominator": (["synthesize", "graph.json", "--angle", "2=1/0"], {}),
     "angle-unknown-vertex": (["synthesize", "graph.json", "--angle", "zz=1"], {}),
+    "angle-output-vertex": (["synthesize", "graph.json", "--angle", "3=1/4"], {}),
+    "angle-not-pauli-on-pauli-vertex": (["synthesize", "graph.json", "--angle", "2=1/4"], {}),
     "graph-edges-not-a-list": (["find-flow", "bad.json"], {"bad.json": _graph_doc(edges=5)}),
     "graph-label-not-a-string": (["find-flow", "bad.json"],
                                  {"bad.json": _graph_doc(labels={"1": 3, "2": "X"})}),

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mbqcflow.gf2 import (mask_of, members, min_weight_solution, popcount,
-                          rank, row_space_equal, solve)
+from mbqcflow.gf2 import (mask_of, members, min_weight_solution, rank,
+                          row_space_equal, solve)
 
 
 def to_matrix(rows, ncols):
@@ -19,12 +19,6 @@ def test_mask_members_roundtrip():
     assert members(0b101001) == [0, 3, 5]
     assert members(0) == []
     assert mask_of([]) == 0
-
-
-def test_popcount():
-    assert popcount(0) == 0
-    assert popcount(0b1011) == 3
-    assert popcount((1 << 100) | 1) == 2
 
 
 rows_strategy = st.lists(st.integers(min_value=0, max_value=255),
@@ -73,11 +67,11 @@ def test_solve_solutions_actually_solve(rows, rhs_bits):
     particular, nullspace = result
 
     def check(x):
-        return all((popcount(row & x) & 1) == b for row, b in zip(rows, rhs))
+        return all(((row & x).bit_count() & 1) == b for row, b in zip(rows, rhs))
 
     assert check(particular)
     for v in nullspace:
-        assert all(popcount(row & v) % 2 == 0 for row in rows)
+        assert all((row & v).bit_count() % 2 == 0 for row in rows)
         assert check(particular ^ v)
 
 
@@ -89,7 +83,7 @@ def test_solve_none_means_inconsistent(rows):
     if solve(rows, rhs, 8) is not None:
         return
     for x in range(256):
-        assert any((popcount(row & x) & 1) != b for row, b in zip(rows, rhs))
+        assert any(((row & x).bit_count() & 1) != b for row, b in zip(rows, rhs))
 
 
 def test_min_weight_solution_is_minimal():
@@ -106,7 +100,7 @@ def test_min_weight_solution_is_minimal():
             x ^= basis[1]
         coset.add(x)
     assert best in coset
-    assert popcount(best) == min(popcount(x) for x in coset)
+    assert best.bit_count() == min(x.bit_count() for x in coset)
 
 
 @settings(max_examples=100, deadline=None)
@@ -114,4 +108,4 @@ def test_min_weight_solution_is_minimal():
        st.lists(st.integers(min_value=1, max_value=255), max_size=5))
 def test_min_weight_solution_beats_particular(particular, basis):
     best = min_weight_solution(particular, basis)
-    assert popcount(best) <= popcount(particular)
+    assert best.bit_count() <= particular.bit_count()

@@ -12,8 +12,9 @@ from mbqcflow.gf2 import mask_of, members, rank, row_space_equal
 from mbqcflow.graphs import Graph, MeasurementLabel, OpenGraph
 from mbqcflow.instances import InstanceSpec, generate_instance
 from mbqcflow.patterns import (Angle, Mbqc, PI_ANGLE, ZERO_ANGLE, to_pattern)
-from mbqcflow.search import find_pauli_flow_bruteforce
-from mbqcflow.stabilizer import (PauliOperator, StabilizerState, apply_pauli,
+from mbqcflow.search import find_pauli_flow, find_pauli_flow_bruteforce
+from mbqcflow.stabilizer import (PauliOperator, StabilizerState,
+                                 _pauli_instantiations, apply_pauli,
                                  apply_pauli_to_vector, canonical_generators,
                                  collapse, correction_operator,
                                  initial_stabilizers, measure_outcome,
@@ -22,7 +23,8 @@ from mbqcflow.stabilizer import (PauliOperator, StabilizerState, apply_pauli,
                                  projector_overlap, reorder_generators,
                                  restricted_generators, state_distance)
 from mbqcflow.statevec import run_pattern
-from mbqcflow.synthesis import CorrectionStrategy, synthesize_corrections
+from mbqcflow.synthesis import (CorrectionStrategy, bipartite_normal_form,
+                                parallelize, synthesize_corrections)
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -186,6 +188,24 @@ class TestMeasurement:
             proj = (psi + sgn * apply_pauli_to_vector(m, psi)) / 2
             proj /= np.linalg.norm(proj)
             assert state_distance(proj, post) < 1e-9
+
+    def test_collapse_checks_inserted_observable(self):
+        st = StabilizerState(1, [PauliOperator.single("Z", 0)])  # |0>
+        with pytest.raises(ContractError):
+            collapse(st, PauliOperator(1, 1, 0), 0)  # i*X: not Hermitian
+        x0x3 = PauliOperator.single("X", 0) * PauliOperator.single("X", 3)
+        with pytest.raises(ContractError):
+            collapse(st, x0x3, 0)  # anticommutes with Z0, outside the register
+
+    def test_outcome_rejects_observable_outside_register(self):
+        # X1 on one qubit commutes with Z0; its symplectic bits alias Z0's
+        st = StabilizerState(1, [PauliOperator.single("Z", 0)])
+        for m in (PauliOperator.single("X", 1),
+                  PauliOperator.single("Z", 0) * PauliOperator.single("X", 1)):
+            with pytest.raises(ContractError):
+                measure_outcome(st, m)
+            with pytest.raises(ContractError):
+                collapse(st, m, 0)
 
     def test_apply_pauli_conjugation(self):
         og = demo_open_graph()
@@ -351,3 +371,87 @@ class TestProbe:
         assert not rep["ok"]
         assert rep["reason"] in ("deterministic outcome",
                                  "branch-dependent output state")
+
+
+def assert_valid_state(state):
+    """The checks the engine's updates skip: the public constructor accepts
+    the generators, and each generator g measures 0 while -g measures 1."""
+    StabilizerState(state.n, list(state.generators))
+    for g in state.generators:
+        assert measure_outcome(state, g) == 0
+        assert measure_outcome(state, g.negate()) == 1
+
+
+def random_hermitian(rng, n):
+    x, z = rng.randrange(1 << n), rng.randrange(1 << n)
+    return PauliOperator((x & z).bit_count() + 2 * rng.randrange(2), x, z)
+
+
+class TestUpdatesKeepStatesValid:
+    """States derived by collapse, apply_pauli and reorder_generators skip
+    the constructor's checks; these tests re-run them on every such state."""
+
+    def test_random_update_sequences(self):
+        rng = random.Random(11)
+        for _ in range(60):
+            n = rng.randint(1, 6)
+            g = Graph.from_edges(n, [(a, b) for a in range(n)
+                                     for b in range(a + 1, n) if rng.random() < 0.5])
+            og = OpenGraph(g, 0, 1 << (n - 1),
+                           {u: MeasurementLabel.X for u in range(n - 1)})
+            state = initial_stabilizers(og)
+            for _ in range(12):
+                op = rng.randrange(3)
+                if op == 0:
+                    m = random_hermitian(rng, n)
+                    det = measure_outcome(state, m)
+                    state = collapse(state, m, rng.randrange(2) if det is None else det)
+                elif op == 1:
+                    state = apply_pauli(state, random_pauli(rng, n))
+                else:
+                    state = reorder_generators(
+                        state, [random_pauli(rng, n) for _ in range(rng.randint(1, n))])
+                assert_valid_state(state)
+
+    def test_probe_states_on_parallelized_instances(self):
+        checked = 0
+        seed = 0
+        while checked < 20:
+            n = 5 + seed % 3
+            seed += 1
+            og = generate_instance(InstanceSpec(
+                n=n, seed=seed, n_inputs=1, n_outputs=n // 2,
+                edge_probability=0.5, bipartite=True,
+                labels=("X", "Z", "XZ"), reject_input_z=True))
+            r = find_pauli_flow(og)
+            if not r.found:
+                continue
+            strategy = parallelize(og, bipartite_normal_form(og, r.flow))
+            angles = {u: ZERO_ANGLE if lab.is_pauli else Angle.from_fraction(1, 4)
+                      for u, lab in og.labels.items()}
+            m = Mbqc(og, angles, strategy)
+            for observables in _pauli_instantiations(m):
+                for zero_inputs in (0, og.inputs):
+                    for _, state in pauli_runs(m, zero_inputs, observables):
+                        assert_valid_state(state)
+            checked += 1
+
+    def test_pauli_run_states_on_all_pauli_instances(self):
+        checked = 0
+        seed = 0
+        while checked < 20:
+            rng = random.Random(seed)
+            seed += 1
+            og = generate_instance(InstanceSpec(
+                n=rng.randint(4, 6), seed=seed, n_inputs=1, n_outputs=2,
+                labels=("X", "Y", "Z"), reject_input_z=True))
+            r = find_pauli_flow(og)
+            if not r.found:
+                continue
+            angles = {u: PI_ANGLE if rng.random() < 0.5 else ZERO_ANGLE
+                      for u in og.labels}
+            m = Mbqc(og, angles, synthesize_corrections(og, r.flow))
+            for zero_inputs in (0, og.inputs):
+                for _, state in pauli_runs(m, zero_inputs):
+                    assert_valid_state(state)
+            checked += 1
