@@ -227,6 +227,8 @@ def cmd_parallelize(graph_file, angle_opts, as_json, output):
     text = print_pattern(to_pattern(m, order))
     if as_json:
         click.echo(json.dumps({"depth": depth, "pattern": text}, indent=2))
+        if output:
+            _emit(text, output)
     else:
         _emit(text, output)
         click.echo(f"measurement depth: {depth}", err=True)

@@ -1,4 +1,4 @@
-"""Pauli operators, stabilizer groups and branch-exact stabilizer runs.
+"""Pauli operators, stabilizer groups, stabilizer runs and a robustness probe.
 
 A Pauli operator is stored as i^phase * X_x * Z_z with bitmasks x, z and
 phase mod 4.  Stabilizer states are n independent commuting Hermitian
@@ -11,6 +11,18 @@ generators on the register (Aaronson & Gottesman 2004).  `apply_pauli` flips
 signs, `reorder_generators` multiplies and swaps, and `collapse` multiplies
 the generators anticommuting with m by the pivot (so they commute with m and
 stay Hermitian) and puts +-m, checked by `measure_outcome`, in its place.
+
+The probe decides all outcome branches of a Pauli run in one pass.  Which
+generators anticommute with an observable or a correction depends only on
+X/Z masks, and collapse and correction change only signs, so every branch
+has the same X/Z structure: an outcome is random in all branches or
+determined in all.  Each generator's sign is then an affine GF(2) form in the
+outcome bits: collapse gives the pivot its outcome bit, a product XORs its
+factors' forms (its phase adds a structure-only constant), and a correction
+on outcome 1 adds the bit to each generator it anticommutes with.  The
+output subgroup's signed group is fixed by the signs of a basis of supported
+combinations, and every outcome vector occurs, so that group is the same in
+every branch iff each basis combination's form is 0.
 """
 
 from __future__ import annotations
@@ -241,21 +253,28 @@ def canonical_generators(generators: Sequence[PauliOperator], n: int) -> Tuple[P
     return tuple(out)
 
 
+def _supported_combinations(generators: Sequence[PauliOperator], support: int,
+                           n: int) -> List[int]:
+    """Basis of the index sets (bitmasks over `generators`) whose product
+    acts only inside `support`: the nullspace of the generators' X and Z bits
+    on the n - |support| qubits outside it."""
+    rows = []
+    for b in members(((1 << n) - 1) & ~support):
+        rows.append(mask_of(i for i, g in enumerate(generators) if (g.x >> b) & 1))
+        rows.append(mask_of(i for i, g in enumerate(generators) if (g.z >> b) & 1))
+    sol = solve(rows, [0] * len(rows), len(generators))
+    assert sol is not None  # homogeneous system
+    return sol[1]
+
+
 def restricted_generators(state: StabilizerState, support: int) -> List[PauliOperator]:
     """Generators of the subgroup acting only inside `support`.
 
     Solves for all generator products whose X and Z masks vanish outside the
     support; the result still acts on the full register.
     """
-    n = state.n
-    outside = ((1 << n) - 1) & ~support
-    rows = []
-    for b in members(outside):
-        rows.append(mask_of(i for i, g in enumerate(state.generators) if (g.x >> b) & 1))
-        rows.append(mask_of(i for i, g in enumerate(state.generators) if (g.z >> b) & 1))
-    sol = solve(rows, [0] * len(rows), len(state.generators))
-    assert sol is not None  # homogeneous system
-    return [_product(state.generators, combo) for combo in sol[1]]
+    return [_product(state.generators, combo)
+            for combo in _supported_combinations(state.generators, support, state.n)]
 
 
 def output_group_signature(state: StabilizerState, outputs: int) -> Tuple[PauliOperator, ...]:
@@ -318,6 +337,10 @@ def pauli_runs(
 ) -> List[Tuple[Dict[int, int], StabilizerState]]:
     """All outcome branches of a Pauli run with corrections applied.
 
+    Branch-exact: each branch is its own state, run by `collapse` and
+    `apply_pauli`.  It is the oracle for the probe's symbolic run and is
+    checked against the dense simulator.
+
     `observables` overrides the measured operator per vertex (used to
     instantiate plane labels); by default every label must be a Pauli axis
     with an exact angle.  Returns (outcome map, final state) per branch;
@@ -375,33 +398,67 @@ def _pauli_instantiations(m: Mbqc) -> List[Dict[int, PauliOperator]]:
     return out
 
 
+def _signed_run(m: Mbqc, order: Sequence[int], start: Sequence[PauliOperator],
+                observables: Dict[int, PauliOperator]) -> Optional[str]:
+    """The probe's verdict on one setting, for all outcome branches at once.
+
+    Runs the branch-independent X/Z structure once; forms[i] is the linear
+    part of generator i's sign over the outcome bits (bit u for the outcome
+    at u), and its constant part stays in the operator's phase.
+    """
+    gens = list(start)
+    forms = [0] * len(gens)
+    for u in order:
+        obs = observables[u]
+        anti = [i for i, g in enumerate(gens) if not g.commutes(obs)]
+        if not anti:
+            return "deterministic outcome"
+        pivot = anti[0]
+        for i in anti[1:]:
+            gens[i] = gens[i] * gens[pivot]
+            forms[i] ^= forms[pivot]
+        gens[pivot], forms[pivot] = obs, 1 << u  # -obs on outcome 1
+        corr = correction_operator(m.strategy, u)
+        for i, g in enumerate(gens):
+            if not g.commutes(corr):
+                forms[i] ^= 1 << u  # negated on outcome 1, as in apply_pauli
+    for combo in _supported_combinations(gens, m.og.outputs, m.og.n):
+        form = 0
+        for i in members(combo):
+            form ^= forms[i]
+        if form:
+            return "branch-dependent output state"
+    return None
+
+
 def pauli_robustness_probe(m: Mbqc) -> dict:
     """Fast necessary condition for robust determinism of a real MBQC.
 
     Enumerates every input setting (each input in |0> or |+>) and every Pauli
     instantiation of the {X,Z}-plane labels; each measurement outcome must be
     uniformly random and all branches must end with the same signed
-    stabilizer subgroup on the outputs.
+    stabilizer subgroup on the outputs.  The first failing setting, in that
+    order, is reported.
+
+    One symbolic run per setting decides all 2^|O^c| branches (see the module
+    docstring): an outcome is determined in every branch or in none, and the
+    output subgroups agree in every branch exactly when each supported
+    combination's sign form is 0.  `pauli_runs` is the branch-exact oracle.
     """
     og = m.og
     if not og.is_real:
         raise ContractError("probe requires real labels (within {X, Z})")
     instantiations = _pauli_instantiations(m)
+    order = measurement_linearization(m)
     ins = members(og.inputs)
     for zero_bits in range(1 << len(ins)):
         zero_inputs = mask_of(v for k, v in enumerate(ins) if (zero_bits >> k) & 1)
+        start = initial_stabilizers(og, zero_inputs).generators
         for observables in instantiations:
-            branches = pauli_runs(m, zero_inputs, observables)
-            setting = {
-                "zero_inputs": [og.names[v] for v in members(zero_inputs)],
-                "observables": {og.names[u]: p.describe(og.n)
-                                for u, p in sorted(observables.items())},
-            }
-            if len(branches) != 1 << len(og.labels):
-                return {"ok": False, "reason": "deterministic outcome", **setting}
-            sigs = {output_group_signature(state, og.outputs)
-                    for _, state in branches}
-            if len(sigs) != 1:
-                return {"ok": False, "reason": "branch-dependent output state",
-                        **setting}
+            reason = _signed_run(m, order, start, observables)
+            if reason is not None:
+                return {"ok": False, "reason": reason,
+                        "zero_inputs": [og.names[v] for v in members(zero_inputs)],
+                        "observables": {og.names[u]: p.describe(og.n)
+                                        for u, p in sorted(observables.items())}}
     return {"ok": True, "reason": None}

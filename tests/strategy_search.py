@@ -28,7 +28,8 @@ from typing import Dict, List, Optional, Tuple
 
 from mbqcflow.gf2 import mask_of, members, solve
 from mbqcflow.graphs import MeasurementLabel, OpenGraph
-from mbqcflow.stabilizer import (PauliOperator, StabilizerState, collapse,
+from mbqcflow.stabilizer import (PauliOperator, StabilizerState, _product,
+                                 _supported_combinations, collapse,
                                  initial_stabilizers, measure_outcome)
 
 _CHOICES = {
@@ -76,19 +77,8 @@ def _correction_feasible(states: List[StabilizerState],
         # generator; independence makes the unsigned match unique
         pivot = next(i for i, g in enumerate(gens)
                      if g.x == m.x and g.z == m.z)
-        # combos of generators whose product is supported inside `support`
-        combo_rows = []
-        for b in members(outside):
-            combo_rows.append(mask_of(i for i, g in enumerate(gens)
-                                      if (g.x >> b) & 1))
-            combo_rows.append(mask_of(i for i, g in enumerate(gens)
-                                      if (g.z >> b) & 1))
-        sol = solve(combo_rows, [0] * len(combo_rows), len(gens))
-        assert sol is not None  # homogeneous system
-        for combo in sol[1]:
-            h = PauliOperator.identity()
-            for i in members(combo):
-                h = h * gens[i]
+        for combo in _supported_combinations(gens, support, n):
+            h = _product(gens, combo)
             rows.append(h.z | (h.x << n))
             rhs.append((combo >> pivot) & 1)
     return solve(rows, rhs, 2 * n) is not None

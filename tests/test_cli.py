@@ -177,6 +177,13 @@ class TestParallelize:
             if isinstance(cmd, (CorrectX, CorrectZ)):
                 assert (pat.outputs >> cmd.qubit) & 1
 
+    def test_json_mode_writes_output_file(self, runner, tmp_path):
+        gpath = write_graph(tmp_path, bipartite_instance())
+        out = tmp_path / "p.mcpat"
+        res = runner.invoke(main, ["parallelize", gpath, "--json", "-o", str(out)])
+        assert res.exit_code == 0, res.output
+        assert out.read_text() == json.loads(res.output)["pattern"]
+
     def test_non_real_rejected(self, runner, tmp_path):
         gpath = write_graph(tmp_path, fork_instance())  # XY label
         res = runner.invoke(main, ["parallelize", gpath])

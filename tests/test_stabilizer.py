@@ -1,8 +1,10 @@
 """Pauli algebra, stabilizer updates, and agreement with the dense simulator."""
 
+import collections
 import itertools
 import math
 import random
+import time
 
 import numpy as np
 import pytest
@@ -24,7 +26,8 @@ from mbqcflow.stabilizer import (PauliOperator, StabilizerState,
                                  restricted_generators, state_distance)
 from mbqcflow.statevec import run_pattern
 from mbqcflow.synthesis import (CorrectionStrategy, bipartite_normal_form,
-                                parallelize, synthesize_corrections)
+                                is_extensive, parallelize,
+                                synthesize_corrections)
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -371,6 +374,122 @@ class TestProbe:
         assert not rep["ok"]
         assert rep["reason"] in ("deterministic outcome",
                                  "branch-dependent output state")
+
+    def test_agrees_with_branch_enumeration(self):
+        """The symbolic probe returns the branch-enumerating probe's report on
+        parallelized strategies and their one-target mutants.  These never
+        meet a determined outcome, so uncorrected strategies on flowless
+        instances, and their mutants, join them."""
+        reasons = collections.Counter()
+        cases = itertools.chain(probe_cases(150, with_flow=True),
+                                probe_cases(30, with_flow=False))
+        for m in cases:
+            got = pauli_robustness_probe(m)
+            assert got == branch_enumerating_probe(m)
+            reasons[got["reason"]] += 1
+        assert reasons[None] >= 150
+        assert reasons["deterministic outcome"] > 0
+        assert reasons["branch-dependent output state"] > 0
+
+    def test_sixteen_qubits(self):
+        og = generate_instance(InstanceSpec(
+            n=16, seed=99, n_inputs=1, n_outputs=6, edge_probability=0.25,
+            bipartite=True, labels=("X", "Z", "XZ"), reject_input_z=True))
+        assert len(og.labels) == 10 and plane_count(og) == 3
+        r = find_pauli_flow(og)
+        assert r.found
+        strategy = parallelize(og, bipartite_normal_form(og, r.flow))
+        angles = probe_angles(og, random.Random(99))
+        start = time.perf_counter()
+        assert pauli_robustness_probe(Mbqc(og, angles, strategy))["ok"]
+        mutant = next(mutants(og, strategy, random.Random(99)))
+        assert not pauli_robustness_probe(Mbqc(og, angles, mutant))["ok"]
+        assert time.perf_counter() - start < 1.0
+
+
+def branch_enumerating_probe(m):
+    """Reference probe: every branch of every setting through pauli_runs,
+    compared by output_group_signature, in the probe's setting order."""
+    og = m.og
+    ins = members(og.inputs)
+    for zero_bits in range(1 << len(ins)):
+        zero_inputs = mask_of(v for k, v in enumerate(ins) if (zero_bits >> k) & 1)
+        for observables in _pauli_instantiations(m):
+            branches = pauli_runs(m, zero_inputs, observables)
+            setting = {
+                "zero_inputs": [og.names[v] for v in members(zero_inputs)],
+                "observables": {og.names[u]: p.describe(og.n)
+                                for u, p in sorted(observables.items())},
+            }
+            if len(branches) != 1 << len(og.labels):
+                return {"ok": False, "reason": "deterministic outcome", **setting}
+            if len({output_group_signature(state, og.outputs)
+                    for _, state in branches}) != 1:
+                return {"ok": False, "reason": "branch-dependent output state",
+                        **setting}
+    return {"ok": True, "reason": None}
+
+
+# (n, inputs, outputs, edge probability) of the benchmark's probe instances
+PROBE_SHAPES = ((5, 1, 2, 0.5), (6, 1, 3, 0.5), (7, 1, 3, 0.4),
+                (8, 1, 4, 0.35), (10, 1, 5, 0.3))
+
+
+def plane_count(og):
+    return sum(1 for lab in og.labels.values() if not lab.is_pauli)
+
+
+def probe_angles(og, rng):
+    return {u: (PI_ANGLE if rng.random() < 0.5 else ZERO_ANGLE) if lab.is_pauli
+            else Angle.from_fraction(1, 4) for u, lab in sorted(og.labels.items())}
+
+
+def mutants(og, strategy, rng):
+    """Extensive strategies that differ from `strategy` in one correction
+    target, in random order."""
+    flips = [(axis, u, v) for axis in ("x", "z") for u in sorted(strategy.x)
+             for v in range(og.n) if v != u]
+    rng.shuffle(flips)
+    for axis, u, v in flips:
+        x, z = dict(strategy.x), dict(strategy.z)
+        (x if axis == "x" else z)[u] ^= 1 << v
+        mutant = CorrectionStrategy(x, z)
+        if is_extensive(mutant, og):
+            yield mutant
+
+
+def probe_cases(instances, with_flow, mutants_per_instance=2):
+    """MBQCs on probe-shaped instances, the shapes taken in turn.
+
+    With a flow, the base strategy is the parallelized one; without, it
+    corrects nothing.  Each base strategy is followed by up to
+    `mutants_per_instance` one-target mutants of it."""
+    found = 0
+    for seed in itertools.count():
+        n, n_inputs, n_outputs, p = PROBE_SHAPES[seed % len(PROBE_SHAPES)]
+        try:
+            og = generate_instance(InstanceSpec(
+                n=n, seed=seed, n_inputs=n_inputs, n_outputs=n_outputs,
+                edge_probability=p, bipartite=True, labels=("X", "Z", "XZ"),
+                reject_input_z=True))
+        except ContractError:
+            continue
+        r = find_pauli_flow(og)
+        if r.found != with_flow:
+            continue
+        if with_flow:
+            strategy = parallelize(og, bipartite_normal_form(og, r.flow))
+        else:
+            strategy = CorrectionStrategy({u: 0 for u in og.labels},
+                                          {u: 0 for u in og.labels})
+        angles = probe_angles(og, random.Random(seed))
+        yield Mbqc(og, angles, strategy)
+        for mutant in itertools.islice(mutants(og, strategy, random.Random(seed)),
+                                       mutants_per_instance):
+            yield Mbqc(og, angles, mutant)
+        found += 1
+        if found == instances:
+            return
 
 
 def assert_valid_state(state):
