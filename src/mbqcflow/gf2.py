@@ -7,10 +7,7 @@ in the same representation throughout the package.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Tuple
-
-# Largest nullspace dimension that min_weight_solution enumerates (2^14 sums).
-ENUMERATE_LIMIT = 14
+from typing import Dict, Iterable, List, Optional, Tuple
 
 
 def mask_of(vertices: Iterable[int]) -> int:
@@ -24,25 +21,51 @@ def mask_of(vertices: Iterable[int]) -> int:
 def members(mask: int) -> List[int]:
     """Sorted list of set bit positions."""
     out = []
-    v = 0
     while mask:
-        if mask & 1:
-            out.append(v)
-        mask >>= 1
-        v += 1
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return out
+
+
+def echelon(rows: Iterable[int], ncols: int) -> Tuple[Dict[int, int], int]:
+    """Reduced row-echelon form over GF(2) of systems sharing coefficients.
+
+    Bits below `ncols` are coefficients; bit ncols + k is the right-hand side
+    of system k.  Returns (pivots, inconsistent): `pivots` maps each pivot
+    column, its row's highest coefficient bit, to that row, in which every
+    other pivot column is clear; bit k of `inconsistent` is set exactly when
+    system k has no solution (its bit survives on a row eliminated to zero).
+    The reduced rows depend only on the row space, not on the row order.
+    """
+    coeffs = (1 << ncols) - 1
+    pivots: Dict[int, int] = {}
+    pivot_mask = 0
+    inconsistent = 0
+    for row in rows:
+        # A pivot row adds bits only below its pivot, so this terminates.
+        while row & pivot_mask:
+            row ^= pivots[(row & pivot_mask).bit_length() - 1]
+        if row & coeffs:
+            col = (row & coeffs).bit_length() - 1
+            pivots[col] = row
+            pivot_mask |= 1 << col
+        else:
+            inconsistent |= row >> ncols
+    # Back-substitute upward: rows of lower pivots are already reduced.
+    for col in sorted(pivots):
+        row = pivots[col]
+        lower = pivot_mask & ((1 << col) - 1)
+        while row & lower:
+            row ^= pivots[(row & lower).bit_length() - 1]
+        pivots[col] = row
+    return pivots, inconsistent
 
 
 def rank(rows: Iterable[int]) -> int:
     """Rank of the span of the given row bitmasks."""
-    basis: List[int] = []
-    for r in rows:
-        for b in basis:
-            r = min(r, r ^ b)
-        if r:
-            basis.append(r)
-            basis.sort(reverse=True)
-    return len(basis)
+    rows = list(rows)
+    return len(echelon(rows, max((r.bit_length() for r in rows), default=0))[0])
 
 
 def row_space_equal(rows_a: Iterable[int], rows_b: Iterable[int]) -> bool:
@@ -58,68 +81,19 @@ def solve(rows: List[int], rhs: List[int], ncols: int) -> Optional[Tuple[int, Li
     """Solve the linear system rows·x = rhs over GF(2).
 
     Each row is a coefficient bitmask over `ncols` variables.  Returns
-    (particular solution, nullspace basis) or None when inconsistent.
+    (particular solution, nullspace basis) or None when inconsistent.  The
+    particular solution is the reduced-echelon one: the unique solution that
+    is zero on every free (non-pivot) column, so it depends on the system,
+    not on its row order.  The basis has one vector per free column, in
+    increasing column order, whose only free bit is that column.
     """
     if len(rows) != len(rhs):
         raise ValueError("rows and rhs length mismatch")
-    # Augmented rows: coefficient bits 0..ncols-1, rhs in bit ncols.
-    aug = [rows[i] | (rhs[i] & 1) << ncols for i in range(len(rows))]
-    pivots: List[Tuple[int, int]] = []  # (column, row index in reduced list)
-    reduced: List[int] = []
-    for row in aug:
-        for col, idx in pivots:
-            if (row >> col) & 1:
-                row ^= reduced[idx]
-        if row == 0:
-            continue
-        if row == 1 << ncols:
-            return None  # 0 = 1
-        col = (row & ((1 << ncols) - 1)).bit_length() - 1
-        # Back-eliminate the new pivot column from earlier rows.
-        for i, r in enumerate(reduced):
-            if (r >> col) & 1:
-                reduced[i] = r ^ row
-        pivots.append((col, len(reduced)))
-        reduced.append(row)
-    pivot_cols = {col for col, _ in pivots}
-    particular = 0
-    for col, idx in pivots:
-        if (reduced[idx] >> ncols) & 1:
-            particular |= 1 << col
-    basis: List[int] = []
-    for free in range(ncols):
-        if free in pivot_cols:
-            continue
-        vec = 1 << free
-        for col, idx in pivots:
-            if (reduced[idx] >> free) & 1:
-                vec |= 1 << col
-        basis.append(vec)
+    pivots, inconsistent = echelon(
+        [row | (b & 1) << ncols for row, b in zip(rows, rhs)], ncols)
+    if inconsistent:
+        return None
+    particular = mask_of(col for col, row in pivots.items() if row >> ncols & 1)
+    basis = [1 << free | mask_of(col for col, row in pivots.items() if row >> free & 1)
+             for free in range(ncols) if free not in pivots]
     return particular, basis
-
-
-def min_weight_solution(particular: int, basis: List[int]) -> int:
-    """Canonical element of the affine space particular + span(basis).
-
-    With at most ENUMERATE_LIMIT basis vectors it is the minimum-weight
-    element, ties broken toward the smallest bitmask.  Beyond that it is
-    `particular` itself; for the output of `solve` that is the reduced-echelon
-    solution with the free variables set to zero, unique for the system.
-    """
-    if len(basis) > ENUMERATE_LIMIT:
-        return particular
-    best = particular
-    best_key = (particular.bit_count(), particular)
-    for combo in range(1, 1 << len(basis)):
-        x = particular
-        c = combo
-        i = 0
-        while c:
-            if c & 1:
-                x ^= basis[i]
-            c >>= 1
-            i += 1
-        key = (x.bit_count(), x)
-        if key < best_key:
-            best, best_key = x, key
-    return best

@@ -7,6 +7,15 @@ from the outputs inward: each round assigns p(u) to every vertex u of the
 remaining set R whose system (u in its own K_A, every other w in R outside
 its K_B) has a solution inside the input complement.
 
+One elimination decides a round.  Its systems share their rows (one per axis
+of each vertex of R) and differ only in the right-hand side (1 on u's own
+rows), so the rows are eliminated once with one right-hand-side bit per
+vertex of R.  u is unsolvable exactly when its bit survives on a row
+eliminated to zero; otherwise p(u) is the reduced-echelon solution, zero on
+every free column.  Each pivot is its row's highest bit, so the reduced form
+depends only on the row space, and p(u) is what `gf2.solve` returns for u's
+system alone.
+
 Soundness: the order puts v < u exactly when v was solved in a later round.
 So every v != u with not(v < u) was solved while u was still in R, and p(v)
 keeps u out of each K_A(p(v)).
@@ -14,7 +23,8 @@ keeps u out of each K_A(p(v)).
 Completeness (Mhalla & Perdrix 2008): in any flow, a vertex that is maximal
 among R under its order solves its system for R, and the system depends only
 on R.  So while a flow exists every round solves a vertex; a round that
-solves none proves that no flow exists.
+solves none proves that no flow exists.  Which solution a round picks does
+not matter to this argument.
 
 `find_pauli_flow_bruteforce` decides existence by enumerating total orders
 (any flow order extends to a total order, and coarser orders only weaken the
@@ -29,7 +39,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import CapacityError
 from .flows import CorrectionFlow, PartialOrder
-from .gf2 import mask_of, members, min_weight_solution, solve
+from .gf2 import echelon, mask_of, members
 from .graphs import OpenGraph
 
 BRUTE_FORCE_OC_BOUND = 6
@@ -137,21 +147,18 @@ def find_pauli_flow_bruteforce(
 def find_pauli_flow(og: OpenGraph) -> FlowSearchResult:
     """Decide whether `og` has a Pauli flow (exact; see the module docstring).
 
-    The vertices solved in one round share a layer; later layers are measured
-    earlier.  p(u) is the minimum-weight solution (smallest bitmask on ties)
-    when the solution space has at most `gf2.ENUMERATE_LIMIT` free dimensions,
-    and the reduced-echelon solution with the free variables set to zero
-    beyond that; both choices are canonical.
+    One GF(2) elimination per round.  The vertices solved in one round share
+    a layer; later layers are measured earlier.  p(u) is the reduced-echelon
+    solution of u's system (free variables zero) at every size.  `stats`
+    counts rounds and systems decided (the sum of |R| over the rounds).
     """
     ic = members(og.non_inputs)
+    ncols = len(ic)
     col_of = {v: i for i, v in enumerate(ic)}
     adjacency = og.graph.adjacency
 
     def compress(row_mask: int) -> int:
         return mask_of(col_of[v] for v in members(row_mask & og.non_inputs))
-
-    def expand(x: int) -> int:
-        return mask_of(ic[i] for i in members(x))
 
     def axis_rows(u: int) -> List[int]:
         sets = {"X": adjacency[u], "Y": adjacency[u] ^ (1 << u), "Z": 1 << u}
@@ -165,14 +172,14 @@ def find_pauli_flow(og: OpenGraph) -> FlowSearchResult:
     stats = {"rounds": 0, "solves": 0}
     while remaining:
         stats["rounds"] += 1
-        layer: Dict[int, int] = {}
-        for u in remaining:
-            own = rows_of[u]
-            others = [r for w in remaining if w != u for r in rows_of[w]]
-            stats["solves"] += 1
-            sol = solve(own + others, [1] * len(own) + [0] * len(others), len(ic))
-            if sol is not None:
-                layer[u] = expand(min_weight_solution(*sol))
+        stats["solves"] += len(remaining)
+        pivots, stuck = echelon([row | 1 << (ncols + k) for k, u in enumerate(remaining)
+                                 for row in rows_of[u]], ncols)
+        p = [0] * len(remaining)
+        for col, row in pivots.items():
+            for k in members(row >> ncols):
+                p[k] |= 1 << ic[col]
+        layer = {u: p[k] for k, u in enumerate(remaining) if not stuck >> k & 1}
         if not layer:
             return FlowSearchResult("none", stats=stats)
         for u in layer:

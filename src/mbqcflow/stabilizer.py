@@ -372,10 +372,18 @@ def pauli_runs(
 
 
 def _pauli_instantiations(m: Mbqc) -> List[Dict[int, PauliOperator]]:
-    """Every assignment of signed X/Z observables compatible with the labels.
+    """The settings of the labels: one X/Z observable per measured vertex.
 
     Pauli-labelled vertices keep their fixed observable; each {X,Z}-plane
-    vertex ranges over +X, -X, +Z, -Z (its Pauli-angle instantiations).
+    vertex takes +X or +Z, the first such vertex varying fastest.  Its -X and
+    -Z instantiations need no settings of their own: an observable's sign
+    moves only the phase constant of the generator it becomes, never which
+    generators anticommute nor any sign form, so `_signed_run` gives every
+    sign choice the verdict of its axes.  In the full +-X/+-Z enumeration
+    (choices +X, -X, +Z, -Z, the first vertex fastest) each axis choice comes
+    first with all signs +, and those settings come in the order of this
+    list, so the first failing setting, the one the probe reports, is the
+    same.
     """
     og = m.og
     fixed: Dict[int, PauliOperator] = {}
@@ -386,14 +394,10 @@ def _pauli_instantiations(m: Mbqc) -> List[Dict[int, PauliOperator]]:
         else:
             free.append(u)
     out = []
-    choices = [("X", 1), ("X", -1), ("Z", 1), ("Z", -1)]
-    for combo in range(4 ** len(free)):
+    for combo in range(1 << len(free)):
         asg = dict(fixed)
-        c = combo
-        for u in free:
-            axis, sign = choices[c % 4]
-            c //= 4
-            asg[u] = PauliOperator.single(axis, u, sign)
+        for k, u in enumerate(free):
+            asg[u] = PauliOperator.single("Z" if combo >> k & 1 else "X", u)
         out.append(asg)
     return out
 
@@ -434,8 +438,9 @@ def _signed_run(m: Mbqc, order: Sequence[int], start: Sequence[PauliOperator],
 def pauli_robustness_probe(m: Mbqc) -> dict:
     """Fast necessary condition for robust determinism of a real MBQC.
 
-    Enumerates every input setting (each input in |0> or |+>) and every Pauli
-    instantiation of the {X,Z}-plane labels; each measurement outcome must be
+    Enumerates every input setting (each input in |0> or |+>) and every +X/+Z
+    instantiation of the {X,Z}-plane labels (their signs cannot change the
+    verdict; see `_pauli_instantiations`); each measurement outcome must be
     uniformly random and all branches must end with the same signed
     stabilizer subgroup on the outputs.  The first failing setting, in that
     order, is reported.

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mbqcflow.gf2 import (mask_of, members, min_weight_solution, rank,
-                          row_space_equal, solve)
+from mbqcflow.gf2 import (echelon, mask_of, members, rank, row_space_equal,
+                          solve)
 
 
 def to_matrix(rows, ncols):
@@ -86,26 +86,49 @@ def test_solve_none_means_inconsistent(rows):
         assert any(((row & x).bit_count() & 1) != b for row, b in zip(rows, rhs))
 
 
-def test_min_weight_solution_is_minimal():
-    particular = 0b111
-    basis = [0b101, 0b010]
-    best = min_weight_solution(particular, basis)
-    # exhaustive check over the coset
-    coset = set()
+def span_highest_bits(rows):
+    """Pivot columns by enumeration: the highest bits of the span's elements."""
+    highest = set()
+    for combo in range(1, 1 << len(rows)):
+        x = 0
+        for i in members(combo):
+            x ^= rows[i]
+        if x:
+            highest.add(x.bit_length() - 1)
+    return highest
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows_strategy, st.lists(st.integers(min_value=0, max_value=1),
+                               min_size=8, max_size=8), st.randoms())
+def test_solve_particular_is_canonical(rows, rhs_bits, rnd):
+    """The particular solution ignores the row order and is zero on every
+    free column."""
+    rhs = rhs_bits[:len(rows)]
+    result = solve(rows, rhs, 8)
+    order = list(range(len(rows)))
+    rnd.shuffle(order)
+    permuted = solve([rows[i] for i in order], [rhs[i] for i in order], 8)
+    assert (result is None) == (permuted is None)
+    if result is None:
+        return
+    assert permuted[0] == result[0]
+    free = set(range(8)) - span_highest_bits(rows)
+    assert not result[0] & mask_of(free)
+    assert len(result[1]) == len(free)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows_strategy, st.lists(st.integers(min_value=0, max_value=15),
+                               min_size=8, max_size=8))
+def test_shared_elimination_decides_each_system(rows, rhs_masks):
+    """Four right-hand sides eliminated together (bits 8..11): each system's
+    inconsistency bit and particular solution are those of its own solve."""
+    rhs = rhs_masks[:len(rows)]
+    pivots, inconsistent = echelon([r | b << 8 for r, b in zip(rows, rhs)], 8)
     for k in range(4):
-        x = particular
-        if k & 1:
-            x ^= basis[0]
-        if k & 2:
-            x ^= basis[1]
-        coset.add(x)
-    assert best in coset
-    assert best.bit_count() == min(x.bit_count() for x in coset)
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.integers(min_value=0, max_value=255),
-       st.lists(st.integers(min_value=1, max_value=255), max_size=5))
-def test_min_weight_solution_beats_particular(particular, basis):
-    best = min_weight_solution(particular, basis)
-    assert best.bit_count() <= particular.bit_count()
+        sol = solve(rows, [b >> k & 1 for b in rhs], 8)
+        assert (inconsistent >> k & 1) == (sol is None)
+        if sol is not None:
+            assert sol[0] == mask_of(col for col, row in pivots.items()
+                                     if row >> (8 + k) & 1)

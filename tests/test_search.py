@@ -7,7 +7,7 @@ import pytest
 
 from mbqcflow.errors import CapacityError
 from mbqcflow.flows import (CorrectionFlow, PartialOrder, verify_pauli_flow)
-from mbqcflow.gf2 import members
+from mbqcflow.gf2 import mask_of, members, solve
 from mbqcflow.graphs import Graph, MeasurementLabel, OpenGraph
 from mbqcflow.instances import InstanceSpec, generate_instance
 from mbqcflow.search import (find_pauli_flow, find_pauli_flow_bruteforce,
@@ -82,6 +82,87 @@ def test_layered_agrees_with_bruteforce():
         assert r.found == b.found
         if r.found:
             assert verify_pauli_flow(og, r.flow)
+
+
+def per_vertex_round(og, remaining):
+    """Reference round: one `gf2.solve` per vertex of `remaining`, with u's
+    axis rows (rhs 1) followed by the other vertices' rows (rhs 0).  Maps
+    each solvable u to its particular solution, as a vertex mask."""
+    ic = members(og.non_inputs)
+
+    def rows(u):
+        sets = {"X": og.graph.adjacency[u], "Y": og.graph.adjacency[u] ^ (1 << u),
+                "Z": 1 << u}
+        return [mask_of(i for i, v in enumerate(ic) if sets[a] >> v & 1)
+                for a in "XYZ" if a in og.labels[u].axes]
+
+    layer = {}
+    for u in remaining:
+        own = rows(u)
+        others = [r for w in remaining if w != u for r in rows(w)]
+        sol = solve(own + others, [1] * len(own) + [0] * len(others), len(ic))
+        if sol is not None:
+            layer[u] = mask_of(ic[i] for i in members(sol[0]))
+    return layer
+
+
+def test_round_elimination_matches_per_vertex_solves():
+    """Each round's shared elimination gives every vertex the verdict and
+    p(u) of its own solve.  For a flow, the rounds are rebuilt from the
+    order (a round's vertices have exactly the earlier rounds' vertices as
+    successors); for `none`, the reference rounds run until one solves
+    nothing."""
+    rng = random.Random(8)
+    statuses = set()
+    for _ in range(320):
+        n = rng.randint(3, 10)
+        og = generate_instance(InstanceSpec(
+            n=n, seed=rng.randrange(10**6), n_inputs=rng.randint(0, 2),
+            n_outputs=rng.randint(1, 3), edge_probability=rng.choice((0.3, 0.5))))
+        r = find_pauli_flow(og)
+        statuses.add(r.status)
+        remaining = sorted(og.labels)
+        rounds = solves = 0
+        while remaining:
+            rounds += 1
+            solves += len(remaining)
+            layer = per_vertex_round(og, remaining)
+            if not layer:
+                break
+            if r.found:
+                earlier = mask_of(og.labels) & ~mask_of(remaining)
+                assert {u for u in remaining if r.flow.order.succ[u] == earlier} == set(layer)
+                assert {u: r.flow.p[u] for u in layer} == layer
+            remaining = [u for u in remaining if u not in layer]
+        assert r.found == (not remaining)
+        assert r.stats == {"rounds": rounds, "solves": solves}
+    assert statuses == {"found", "none"}
+
+
+def grid_cluster(rows, cols, seed):
+    """rows x cols cluster state, inputs the first column and outputs the
+    last, XY labels except 30 % of the measured non-input vertices, which
+    become X or Y; each row's successor is a causal flow."""
+    def index(i, j):
+        return i * cols + j
+
+    edges = [(index(i, j), index(i, j + 1)) for i in range(rows) for j in range(cols - 1)]
+    edges += [(index(i, j), index(i + 1, j)) for i in range(rows - 1) for j in range(cols)]
+    labels = {index(i, j): MeasurementLabel.XY for i in range(rows) for j in range(cols - 1)}
+    rng = random.Random(seed)
+    eligible = [index(i, j) for i in range(rows) for j in range(1, cols - 1)]
+    for u in rng.sample(eligible, round(0.3 * len(eligible))):
+        labels[u] = MeasurementLabel.X if rng.random() < 0.5 else MeasurementLabel.Y
+    return OpenGraph(Graph.from_edges(rows * cols, edges),
+                     mask_of(index(i, 0) for i in range(rows)),
+                     mask_of(index(i, cols - 1) for i in range(rows)), labels)
+
+
+def test_grid_with_256_vertices():
+    og = grid_cluster(16, 16, seed=16)
+    r = find_pauli_flow(og)
+    assert r.found
+    assert verify_pauli_flow(og, r.flow)
 
 
 def test_require_pairs_restricts_orders():

@@ -15,8 +15,7 @@ from mbqcflow.graphs import Graph, MeasurementLabel, OpenGraph
 from mbqcflow.instances import InstanceSpec, generate_instance
 from mbqcflow.patterns import (Angle, Mbqc, PI_ANGLE, ZERO_ANGLE, to_pattern)
 from mbqcflow.search import find_pauli_flow, find_pauli_flow_bruteforce
-from mbqcflow.stabilizer import (PauliOperator, StabilizerState,
-                                 _pauli_instantiations, apply_pauli,
+from mbqcflow.stabilizer import (PauliOperator, StabilizerState, apply_pauli,
                                  apply_pauli_to_vector, canonical_generators,
                                  collapse, correction_operator,
                                  initial_stabilizers, measure_outcome,
@@ -407,14 +406,31 @@ class TestProbe:
         assert time.perf_counter() - start < 1.0
 
 
+def signed_instantiations(m):
+    """Every signed X/Z observable assignment compatible with the labels:
+    each {X,Z}-plane vertex takes +X, -X, +Z or -Z, the first vertex fastest.
+    The probe itself skips the signs; this reference keeps them."""
+    og = m.og
+    planes = [u for u, lab in sorted(og.labels.items()) if not lab.is_pauli]
+    choices = [("X", 1), ("X", -1), ("Z", 1), ("Z", -1)]
+    for combo in range(4 ** len(planes)):
+        observables = {u: measurement_operator(lab, m.angles[u], u)
+                       for u, lab in sorted(og.labels.items()) if lab.is_pauli}
+        for k, u in enumerate(planes):
+            axis, sign = choices[combo // 4 ** k % 4]
+            observables[u] = PauliOperator.single(axis, u, sign)
+        yield observables
+
+
 def branch_enumerating_probe(m):
-    """Reference probe: every branch of every setting through pauli_runs,
-    compared by output_group_signature, in the probe's setting order."""
+    """Reference probe: every branch of every signed setting through
+    pauli_runs, compared by output_group_signature, in the order of the
+    probe's settings with the signs added."""
     og = m.og
     ins = members(og.inputs)
     for zero_bits in range(1 << len(ins)):
         zero_inputs = mask_of(v for k, v in enumerate(ins) if (zero_bits >> k) & 1)
-        for observables in _pauli_instantiations(m):
+        for observables in signed_instantiations(m):
             branches = pauli_runs(m, zero_inputs, observables)
             setting = {
                 "zero_inputs": [og.names[v] for v in members(zero_inputs)],
@@ -549,7 +565,7 @@ class TestUpdatesKeepStatesValid:
             angles = {u: ZERO_ANGLE if lab.is_pauli else Angle.from_fraction(1, 4)
                       for u, lab in og.labels.items()}
             m = Mbqc(og, angles, strategy)
-            for observables in _pauli_instantiations(m):
+            for observables in signed_instantiations(m):
                 for zero_inputs in (0, og.inputs):
                     for _, state in pauli_runs(m, zero_inputs, observables):
                         assert_valid_state(state)
