@@ -1,17 +1,43 @@
 """Dense state-vector execution of patterns and determinism checks.
 
-States are numpy tensors with one axis of size 2 per live qubit plus a final
-axis of input columns, so a pattern run computes every branch map A_s (one
-per outcome string) as a 2^{|O|} x 2^{|I|} matrix.  Row/column indices are
-little-endian over the sorted qubit ids.
+One engine runs a pattern on every outcome branch, and on a stack of
+measurement-angle assignments, at once.  Its tensor has these axes, in order:
+
+* one angle-assignment axis A (size 1 until the first measurement
+  broadcasts it out);
+* one outcome axis of size 2 per measurement done so far;
+* one axis of size 2 per live qubit;
+* one axis of input columns.
+
+`N` stacks a |+> axis and `E` flips the sign of its (1, 1) slice.  `M u`
+moves u's axis to the front and contracts it, in one batched matmul, with
+the (A, 2, 2) stack of conjugated (+, -) eigenvectors; the contracted axis
+is u's outcome axis.  `X`/`Z` with signal s flip u's axis, or the sign of
+its 1 slice, on the slice where s's outcome is 1.  The result, read as
+(A, 2^k, 2^{|O|}, cols), holds every branch map A_s as a 2^{|O|} x cols
+matrix, one per outcome string s in lexicographic measurement order.  Row
+and column indices are little-endian over the sorted qubit ids.
+
+`capacity` bounds the outcome axes plus the live-qubit axes, the log2 of the
+tensor's rows per assignment and input column.  A measurement trades a live
+axis for an outcome axis, so the count never drops; for a standard pattern
+of n qubits it is n.
 
 Determinism is tested per input vector (branch outputs pairwise proportional),
 strong determinism adds equal norms; on real open graphs the test vectors are
 real, since branch phases may legitimately depend on the input there.
+
+The robustness check runs one pattern per truncation with all of that
+truncation's angle assignments on the A axis.  An assignment changes only
+the eigenvectors a measurement contracts with, never the command sequence,
+so slice a of the tensor is the run of the pattern built with assignment a,
+and the first failing slice of the first failing truncation is the pair a
+one-pattern-per-assignment loop would report.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -21,16 +47,17 @@ import numpy as np
 from .errors import CapacityError, ContractError
 from .gf2 import members
 from .graphs import MeasurementLabel, OpenGraph
-from .patterns import (Angle, CorrectX, CorrectZ, Entangle, Measure, Mbqc, New,
-                       Pattern, measurement_order, to_pattern, validate)
+from .patterns import (PI_ANGLE, ZERO_ANGLE, Angle, CorrectX, CorrectZ,
+                       Entangle, Measure, Mbqc, New, Pattern, measurement_order,
+                       to_pattern, validate)
 from .synthesis import CorrectionStrategy
 
 DEFAULT_CAPACITY = 12
 DEFAULT_TOL = 1e-9
 
 _SQRT_HALF = 1 / math.sqrt(2)
-_X = np.array([[0, 1], [1, 0]], dtype=complex)
-_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+_QUARTER_PI = Angle.from_fraction(1, 4)
+_HALF_PI = Angle.from_fraction(1, 2)
 
 
 def _bloch_vector(label: MeasurementLabel, angle: Angle) -> Tuple[float, float, float]:
@@ -75,6 +102,98 @@ def eigenpair(label: MeasurementLabel, angle: Angle) -> Tuple[np.ndarray, np.nda
     return _fix_phase(plus), _fix_phase(minus)
 
 
+def _bases(pat: Pattern, assignments: Sequence[Dict[int, Angle]],
+           known: Dict[Tuple[MeasurementLabel, Angle], np.ndarray]) -> Dict[int, np.ndarray]:
+    """(A, 2, 2) conjugated (+, -) eigenvector rows of every measured qubit,
+    one slice per angle assignment (the pattern's own angles where the
+    assignment does not name the qubit).  `known` caches the rows of each
+    (label, angle) pair across calls."""
+    def rows(label: MeasurementLabel, angle: Angle) -> np.ndarray:
+        if (label, angle) not in known:
+            known[label, angle] = np.array(eigenpair(label, angle)).conj()
+        return known[label, angle]
+
+    measures = [cmd for cmd in pat.commands if isinstance(cmd, Measure)]
+    stack = np.array([[rows(cmd.label, asg.get(cmd.qubit, cmd.angle))
+                       for asg in assignments] for cmd in measures])
+    return {cmd.qubit: stack[i] for i, cmd in enumerate(measures)}
+
+
+def _run(pat: Pattern, columns: np.ndarray, bases: Dict[int, np.ndarray],
+         capacity: int, keep_measured: bool = False
+         ) -> Tuple[np.ndarray, List[int], Tuple[int, ...]]:
+    """Run a valid pattern on every branch and every angle assignment.
+
+    `columns` is the 2^{|I|} x d input matrix and `bases[u]` the (A, 2, 2)
+    stack of conjugated eigenvector rows of measured qubit u.  Returns the
+    (A, 2^k, 2^q, d) tensor of branch maps, the measurement order and the q
+    sorted qubit ids of the rows.  With `keep_measured` each measured qubit
+    is tensored back on in its outcome's eigenstate.
+    """
+    def require_width(width: int) -> None:
+        if width > capacity:
+            raise CapacityError(f"simulation bounded to {capacity} outcome and qubit axes")
+
+    ins = members(pat.inputs)
+    require_width(len(ins))
+    ncols = columns.shape[1]
+    # Axis 1+i of the initial tensor carries bit len(ins)-1-i of the row
+    # index, i.e. input qubit ins[len(ins)-1-i].
+    t = np.array(columns, dtype=complex).reshape((1,) + (2,) * len(ins) + (ncols,))
+    live = ins[::-1]  # qubit of each live axis; they follow the outcome axes
+    order: List[int] = []  # measured qubits; axis 1 holds the newest outcome
+
+    def outcome_axis(s: int) -> int:
+        return len(order) - order.index(s)
+
+    def qubit_axis(q: int) -> int:
+        return 1 + len(order) + live.index(q)
+
+    for cmd in pat.commands:
+        idx = [slice(None)] * t.ndim
+        if isinstance(cmd, New):
+            require_width(len(order) + len(live) + 1)
+            half = t * _SQRT_HALF
+            t = np.stack((half, half), axis=1 + len(order))
+            live.insert(0, cmd.qubit)
+        elif isinstance(cmd, Entangle):
+            idx[qubit_axis(cmd.a)] = idx[qubit_axis(cmd.b)] = 1
+            t[tuple(idx)] *= -1
+        elif isinstance(cmd, Measure):
+            t = np.moveaxis(t, qubit_axis(cmd.qubit), 1)
+            shape = t.shape
+            t = bases[cmd.qubit] @ t.reshape(shape[0], 2, -1)
+            t = t.reshape(t.shape[:1] + shape[1:])
+            live.remove(cmd.qubit)
+            order.append(cmd.qubit)
+        elif isinstance(cmd, CorrectX):
+            idx[outcome_axis(cmd.signal)] = 1
+            idx[qubit_axis(cmd.qubit)] = 0
+            lo = tuple(idx)
+            idx[qubit_axis(cmd.qubit)] = 1
+            hi = tuple(idx)
+            flipped = t[hi].copy()
+            t[hi] = t[lo]
+            t[lo] = flipped
+        elif isinstance(cmd, CorrectZ):
+            idx[outcome_axis(cmd.signal)] = 1
+            idx[qubit_axis(cmd.qubit)] = 1
+            t[tuple(idx)] *= -1
+    if keep_measured:
+        for u in order:
+            shape = [1] * (t.ndim + 1)
+            shape[0] = bases[u].shape[0]
+            shape[outcome_axis(u)] = shape[1 + len(order)] = 2
+            t = np.expand_dims(t, 1 + len(order)) * bases[u].conj().reshape(shape)
+            live.insert(0, u)
+    k = len(order)
+    keep = tuple(sorted(live))
+    perm = ([0] + list(range(k, 0, -1)) + [qubit_axis(q) for q in reversed(keep)]
+            + [t.ndim - 1])
+    t = np.transpose(t, perm).reshape((t.shape[0], 1 << k, 1 << len(keep), ncols))
+    return t, order, keep
+
+
 @dataclass
 class Branch:
     """One measurement branch: outcome bits and the resulting (unnormalized)
@@ -90,9 +209,16 @@ class Branch:
         return tuple(self.outcomes[u] for u in self.order)
 
 
-def _apply_single(state: np.ndarray, ax: int, gate: np.ndarray) -> np.ndarray:
-    out = np.tensordot(gate, state, axes=([1], [ax]))
-    return np.moveaxis(out, 0, ax)
+def _require_valid(pat: Pattern) -> None:
+    verdict = validate(pat)
+    if not verdict:
+        raise ContractError(f"pattern is not valid: {verdict.message}")
+
+
+def _branch_tensor(pat: Pattern, columns: np.ndarray, capacity: int) -> np.ndarray:
+    """(2^k, 2^{|O|}, cols) branch maps of a pattern at its own angles."""
+    _require_valid(pat)
+    return _run(pat, columns, _bases(pat, [{}], {}), capacity)[0][0]
 
 
 def run_pattern(
@@ -106,13 +232,11 @@ def run_pattern(
     `input_state` is a 2^{|I|} x d matrix of input columns (little-endian over
     the sorted input ids); the default is the identity, so each branch state
     is the branch map itself.  With `keep_measured` qubits stay in their
-    post-measurement eigenstate instead of being traced out.
+    post-measurement eigenstate instead of being traced out.  Branches come
+    in lexicographic order of their outcome bits in measurement order.
     """
-    verdict = validate(pat)
-    if not verdict:
-        raise ContractError(f"pattern is not valid: {verdict.message}")
-    ins = members(pat.inputs)
-    d_in = 1 << len(ins)
+    _require_valid(pat)
+    d_in = 1 << pat.inputs.bit_count()
     if input_state is None:
         input_state = np.eye(d_in, dtype=complex)
     else:
@@ -121,63 +245,13 @@ def run_pattern(
             input_state = input_state[:, None]
         if input_state.shape[0] != d_in:
             raise ContractError(
-                f"input state must have 2**{len(ins)} rows, got {input_state.shape[0]}")
-    ncols = input_state.shape[1]
-    # Axis i of the initial tensor carries bit len(ins)-1-i of the row index,
-    # i.e. input qubit ins[len(ins)-1-i].
-    state = input_state.reshape((2,) * len(ins) + (ncols,))
-    axes = [ins[len(ins) - 1 - i] for i in range(len(ins))]
-    if len(axes) > capacity:
-        raise CapacityError(f"simulation bounded to {capacity} qubits")
-
-    plus = np.array([_SQRT_HALF, _SQRT_HALF], dtype=complex)
-    results: List[Branch] = []
-
-    def finish(state, axes, outcomes, order):
-        keep = sorted(axes)
-        perm = [axes.index(q) for q in reversed(keep)] + [len(axes)]
-        mat = np.transpose(state, perm).reshape((1 << len(keep), ncols))
-        results.append(Branch(dict(outcomes), tuple(order), tuple(keep), mat))
-
-    def run(state, axes, i, outcomes, order):
-        while i < len(pat.commands):
-            cmd = pat.commands[i]
-            i += 1
-            if isinstance(cmd, New):
-                if len(axes) + 1 > capacity:
-                    raise CapacityError(f"simulation bounded to {capacity} qubits")
-                state = np.multiply.outer(plus, state)
-                axes = [cmd.qubit] + axes
-            elif isinstance(cmd, Entangle):
-                sl = [slice(None)] * state.ndim
-                sl[axes.index(cmd.a)] = 1
-                sl[axes.index(cmd.b)] = 1
-                state = state.copy()
-                state[tuple(sl)] *= -1
-            elif isinstance(cmd, Measure):
-                ax = axes.index(cmd.qubit)
-                vecs = eigenpair(cmd.label, cmd.angle)
-                for bit, v in enumerate(vecs):
-                    if keep_measured:
-                        proj = np.outer(v, v.conjugate())
-                        sub = _apply_single(state, ax, proj)
-                        sub_axes = list(axes)
-                    else:
-                        sub = np.tensordot(v.conjugate(), state, axes=([0], [ax]))
-                        sub_axes = axes[:ax] + axes[ax + 1:]
-                    run(sub, sub_axes, i, {**outcomes, cmd.qubit: bit},
-                        order + [cmd.qubit])
-                return
-            elif isinstance(cmd, CorrectX):
-                if outcomes[cmd.signal]:
-                    state = _apply_single(state, axes.index(cmd.qubit), _X)
-            elif isinstance(cmd, CorrectZ):
-                if outcomes[cmd.signal]:
-                    state = _apply_single(state, axes.index(cmd.qubit), _Z)
-        finish(state, axes, outcomes, order)
-
-    run(state, axes, 0, {}, [])
-    return results
+                f"input state must have 2**{pat.inputs.bit_count()} rows, "
+                f"got {input_state.shape[0]}")
+    t, order, qubits = _run(pat, input_state, _bases(pat, [{}], {}), capacity,
+                            keep_measured)
+    keys = itertools.product((0, 1), repeat=len(order))
+    return [Branch(dict(zip(order, key)), tuple(order), qubits, state)
+            for key, state in zip(keys, t[0])]
 
 
 def branch_map(pat: Pattern, capacity: int = DEFAULT_CAPACITY) -> Dict[Tuple[int, ...], np.ndarray]:
@@ -207,25 +281,48 @@ def _test_vectors(d: int, real: bool, seed: int = 0) -> np.ndarray:
     return np.hstack(cols).astype(complex)
 
 
-def _proportional(a: np.ndarray, b: np.ndarray, tol: float) -> bool:
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na <= tol or nb <= tol:
-        return True
-    return abs(abs(np.vdot(a, b)) - na * nb) <= tol * na * nb + tol
+def _proportional(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
+    """Column-wise test that a and b (rows on axis -2) are proportional;
+    a column that is zero on either side passes."""
+    na, nb = np.linalg.norm(a, axis=-2), np.linalg.norm(b, axis=-2)
+    inner = np.abs(np.sum(a.conj() * b, axis=-2))
+    return (na <= tol) | (nb <= tol) | (np.abs(inner - na * nb) <= tol * na * nb + tol)
 
 
 def check_deterministic(pat: Pattern, tol: float = DEFAULT_TOL, seed: int = 0,
                         capacity: int = DEFAULT_CAPACITY) -> bool:
-    """Every input is sent, up to scale, to the same output on all branches."""
+    """Every input is sent, up to scale, to the same output on all branches.
+
+    Each input column is compared with a branch that is nonzero on it, so a
+    zero-probability branch never stands in as the reference.
+    """
     d_in = 1 << pat.inputs.bit_count()
-    tests = _test_vectors(d_in, real=False, seed=seed)
-    branches = run_pattern(pat, input_state=tests, capacity=capacity)
-    ref = branches[0].state
-    for b in branches[1:]:
-        for j in range(tests.shape[1]):
-            if not _proportional(ref[:, j], b.state[:, j], tol):
-                return False
-    return True
+    out = _branch_tensor(pat, _test_vectors(d_in, real=False, seed=seed), capacity)
+    ref = np.argmax(np.linalg.norm(out, axis=1) > tol, axis=0)  # per column
+    cols = np.arange(out.shape[2])
+    return bool(_proportional(out[ref, :, cols].T, out, tol).all())
+
+
+def _strong_failures(out: np.ndarray, real_inputs: bool, tol: float) -> np.ndarray:
+    """Per angle assignment of an (A, branches, rows, cols) tensor: True
+    where its branches are not strongly deterministic (see
+    check_strong_deterministic)."""
+    ref = out[:, :1]
+    if real_inputs:
+        norm_gap = np.abs(np.linalg.norm(ref, axis=-2) - np.linalg.norm(out, axis=-2))
+        bad = (norm_gap > tol) | ~_proportional(ref, out, tol)
+        return bad.any(axis=(1, 2))
+    n_asg, n_branch = out.shape[:2]
+    flat = out.reshape(n_asg, n_branch, -1)
+    pick = np.argmax(np.abs(flat[:, 0]), axis=1)  # largest entry of branch 0
+    pivot = flat[np.arange(n_asg), 0, pick]
+    zero = np.abs(pivot) <= tol
+    ratio = flat[np.arange(n_asg), :, pick] / np.where(zero, 1, pivot)[:, None]
+    phase_bad = (np.abs(np.abs(ratio) - 1) > tol).any(axis=1)
+    scaled = ratio[:, :, None, None] * ref
+    far = np.abs(out - scaled) > tol + 1e-5 * np.abs(scaled)  # np.allclose's test
+    nonzero = (np.abs(out) > tol).any(axis=(1, 2, 3))
+    return np.where(zero, nonzero, phase_bad | far.any(axis=(1, 2, 3)))
 
 
 def check_strong_deterministic(pat: Pattern, tol: float = DEFAULT_TOL,
@@ -234,45 +331,24 @@ def check_strong_deterministic(pat: Pattern, tol: float = DEFAULT_TOL,
     """Determinism with all branches equally likely on every input.
 
     In the default (complex-input) mode the branch maps must agree up to one
-    global phase.  With `real_inputs` the phase may depend on the input, so
-    the check is per real test vector: proportional and equal norm.
+    global phase, read off the largest entry of the first branch.  With
+    `real_inputs` the phase may depend on the input, so the check is per
+    real test vector: proportional and equal norm.
     """
     d_in = 1 << pat.inputs.bit_count()
-    if real_inputs:
-        tests = _test_vectors(d_in, real=True, seed=seed)
-        branches = run_pattern(pat, input_state=tests, capacity=capacity)
-        ref = branches[0].state
-        for b in branches[1:]:
-            for j in range(tests.shape[1]):
-                a, c = ref[:, j], b.state[:, j]
-                if abs(np.linalg.norm(a) - np.linalg.norm(c)) > tol:
-                    return False
-                if not _proportional(a, c, tol):
-                    return False
-        return True
-    branches = run_pattern(pat, capacity=capacity)
-    ref = branches[0].state
-    idx = np.unravel_index(np.argmax(np.abs(ref)), ref.shape)
-    if abs(ref[idx]) <= tol:
-        return all(np.allclose(b.state, 0, atol=tol) for b in branches)
-    for b in branches[1:]:
-        c = b.state[idx] / ref[idx]
-        if abs(abs(c) - 1) > tol:
-            return False
-        if not np.allclose(b.state, c * ref, atol=tol):
-            return False
-    return True
+    columns = _test_vectors(d_in, real=True, seed=seed) if real_inputs else np.eye(d_in)
+    out = _branch_tensor(pat, columns, capacity)
+    return not _strong_failures(out[None], real_inputs, tol)[0]
 
 
 def _lowersets(vertices: Sequence[int], order) -> List[Tuple[int, ...]]:
-    """All downward-closed subsets of the measured vertices."""
-    out = []
+    """All downward-closed subsets of the measured vertices, in the order of
+    their bitmasks over `vertices`."""
     vs = list(vertices)
-    for mask in range(1 << len(vs)):
-        sel = {vs[i] for i in range(len(vs)) if (mask >> i) & 1}
-        if all(not (order.less(u, v) and u not in sel) for v in sel for u in vs):
-            out.append(tuple(sorted(sel)))
-    return out
+    below = [sum(1 << i for i, u in enumerate(vs) if order.less(u, v)) for v in vs]
+    return [tuple(sorted(vs[i] for i in members(mask)))
+            for mask in range(1 << len(vs))
+            if all(not below[i] & ~mask for i in members(mask))]
 
 
 def _truncate(m: Mbqc, keep: Sequence[int]) -> OpenGraph:
@@ -293,34 +369,25 @@ def _angle_assignments(m: Mbqc, keep: Sequence[int], samples: int, seed: int) ->
     og = m.og
     out: List[Dict[int, Angle]] = []
 
-    def build(planar_angle: Optional[Angle], pauli_mode: str) -> Dict[int, Angle]:
+    def build(planar_angle: Optional[Angle], pauli_angle: Optional[Angle]) -> Dict[int, Angle]:
         asg = {}
         for u in keep:
             if og.labels[u].is_pauli:
-                if pauli_mode == "zero":
-                    asg[u] = Angle.from_fraction(0)
-                elif pauli_mode == "pi":
-                    asg[u] = Angle.from_fraction(1)
-                elif pauli_mode == "random":
-                    asg[u] = Angle.from_fraction(int(rng.integers(2)))
-                else:
-                    asg[u] = m.angles[u]
-            elif planar_angle is None:
-                asg[u] = m.angles[u]
+                asg[u] = m.angles[u] if pauli_angle is None else pauli_angle
             else:
-                asg[u] = planar_angle
+                asg[u] = m.angles[u] if planar_angle is None else planar_angle
         return asg
 
-    out.append(build(None, "original"))
-    out.append(build(Angle.from_fraction(0), "zero"))
-    out.append(build(Angle.from_fraction(1), "pi"))
-    out.append(build(Angle.from_fraction(1, 4), "original"))
-    out.append(build(Angle.from_fraction(1, 2), "original"))
+    out.append(build(None, None))
+    out.append(build(ZERO_ANGLE, ZERO_ANGLE))
+    out.append(build(PI_ANGLE, PI_ANGLE))
+    out.append(build(_QUARTER_PI, None))
+    out.append(build(_HALF_PI, None))
     for _ in range(samples):
         asg = {}
         for u in keep:
             if og.labels[u].is_pauli:
-                asg[u] = Angle.from_fraction(int(rng.integers(2)))
+                asg[u] = (ZERO_ANGLE, PI_ANGLE)[int(rng.integers(2))]
             else:
                 asg[u] = Angle.from_radians(float(rng.uniform(0, 2 * math.pi)))
         out.append(asg)
@@ -339,31 +406,39 @@ def check_robust_deterministic(m: Mbqc, angle_samples: int = 20, seed: int = 0,
     of the actual computation; corrections deliberately dropped onto
     earlier-measured same-axis Pauli vertices are only sound there.
 
+    Each truncation is one engine run with all its angle assignments on the
+    A axis; `checks` counts (truncation, assignment) pairs up to and
+    including the first failing one.
+
     Returns a JSON-able report {"ok", "checks", "failure"}; `failure` names
     the offending truncation and angle assignment when one is found.
     """
     og = m.og
     induced = measurement_order(m, order)
     real_mode = og.is_real
+    d_in = 1 << og.inputs.bit_count()
+    columns = _test_vectors(d_in, real=True, seed=seed) if real_mode else np.eye(d_in)
+    known: Dict[Tuple[MeasurementLabel, Angle], np.ndarray] = {}
     checks = 0
     for keep in _lowersets(sorted(og.labels), induced):
-        sub_og = _truncate(m, keep)
         sub_strategy = CorrectionStrategy(
             {u: m.strategy.x[u] for u in keep},
             {u: m.strategy.z[u] for u in keep})
-        for angles in _angle_assignments(m, keep, angle_samples, seed + len(keep)):
-            sub = Mbqc(sub_og, angles, sub_strategy)
-            pat = to_pattern(sub, order)
-            checks += 1
-            if not check_strong_deterministic(pat, tol=tol, real_inputs=real_mode,
-                                              seed=seed, capacity=capacity):
-                return {
-                    "ok": False,
-                    "checks": checks,
-                    "failure": {
-                        "measured": [og.names[u] for u in keep],
-                        "angles": {og.names[u]: str(a) for u, a in angles.items()},
-                        "real_inputs": real_mode,
-                    },
-                }
+        assignments = _angle_assignments(m, keep, angle_samples, seed + len(keep))
+        pat = to_pattern(Mbqc(_truncate(m, keep), assignments[0], sub_strategy), order)
+        _require_valid(pat)
+        out, _, _ = _run(pat, columns, _bases(pat, assignments, known), capacity)
+        failed = np.flatnonzero(_strong_failures(out, real_mode, tol))
+        if failed.size:
+            angles = assignments[failed[0]]
+            return {
+                "ok": False,
+                "checks": checks + int(failed[0]) + 1,
+                "failure": {
+                    "measured": [og.names[u] for u in keep],
+                    "angles": {og.names[u]: str(a) for u, a in angles.items()},
+                    "real_inputs": real_mode,
+                },
+            }
+        checks += len(assignments)
     return {"ok": True, "checks": checks, "failure": None}

@@ -13,19 +13,21 @@ import pytest
 
 from mbqcflow.errors import CapacityError, ContractError
 from mbqcflow.flows import PartialOrder
-from mbqcflow.gf2 import members
+from mbqcflow.gf2 import mask_of, members
 from mbqcflow.graphs import Graph, MeasurementLabel, OpenGraph
 from mbqcflow.instances import InstanceSpec, generate_instance
 from mbqcflow.patterns import (Angle, CorrectX, CorrectZ, Entangle, Mbqc,
                                Measure, New, Pattern, ZERO_ANGLE, PI_ANGLE,
-                               parse, to_pattern)
-from mbqcflow.search import find_pauli_flow_bruteforce
-from mbqcflow.statevec import (branch_map, branches_complete,
-                               check_deterministic,
+                               measurement_order, parse, print_pattern,
+                               to_pattern, validate)
+from mbqcflow.search import find_pauli_flow, find_pauli_flow_bruteforce
+from mbqcflow.statevec import (_angle_assignments, _test_vectors, branch_map,
+                               branches_complete, check_deterministic,
                                check_robust_deterministic,
                                check_strong_deterministic, eigenpair,
                                run_pattern)
-from mbqcflow.synthesis import CorrectionStrategy, synthesize_corrections
+from mbqcflow.synthesis import (CorrectionStrategy, completed_order,
+                                synthesize_corrections)
 
 SQ2 = 1 / math.sqrt(2)
 
@@ -211,6 +213,22 @@ class TestKnownPatterns:
         pat = parse("input: 1\nN 2\nE 1 2\nM 1 XY 1/4 pi\n")
         assert not check_deterministic(pat)
 
+    def test_zero_first_branch_does_not_hide_disagreement(self):
+        # M 3 X pi on a fresh |+> never gives outcome 0, so every branch
+        # with s_3 = 0 is zero; the two live branches still disagree
+        pat = parse("input: 1\nN 2\nN 3\nE 1 2\nM 3 X 1 pi\n"
+                    "M 1 XY 1/4 pi\n")
+        assert np.allclose(branch_map(pat)[(0, 0)], 0)
+        assert not check_deterministic(pat)
+        assert not check_strong_deterministic(pat)
+        assert not check_strong_deterministic(pat, real_inputs=True)
+
+    def test_zero_branches_beside_deterministic_ones(self):
+        pat = parse("input: 1\nN 2\nN 3\nE 1 2\nM 3 X 1 pi\n"
+                    "M 1 X 0\nX 2 s(1)\n")
+        assert check_deterministic(pat)
+        assert not check_strong_deterministic(pat)
+
 
 def random_patterns(count, seed=0):
     rng = random.Random(seed)
@@ -238,17 +256,102 @@ def random_patterns(count, seed=0):
     return out
 
 
+def assert_matches_oracle(pat, input_state=None):
+    """Every branch of run_pattern equals the oracle's branch map applied
+    to the input columns, and branches come in lexicographic key order."""
+    expect = oracle_branches(pat)
+    branches = run_pattern(pat, input_state=input_state)
+    keys = [b.key for b in branches]
+    assert keys == sorted(keys)
+    assert len(keys) == 1 << len(branches[0].order)
+    cols = (np.eye(1 << pat.inputs.bit_count()) if input_state is None
+            else np.asarray(input_state, dtype=complex).reshape(len(input_state), -1))
+    got = {frozenset(b.outcomes.items()): b.state for b in branches}
+    assert set(got) == set(expect)
+    for k in got:
+        assert np.allclose(got[k], expect[k] @ cols, atol=1e-9)
+    return branches
+
+
+# Patterns that create qubits after measuring others, correct fresh qubits
+# before entangling them, and correct from a zero-probability outcome.
+NON_STANDARD = [
+    "input: 1\nN 2\nE 1 2\nM 1 XY 1/4 pi\nX 2 s(1)\nN 3\nE 2 3\n"
+    "M 2 XY 1/3 pi\nX 3 s(2)\nZ 3 s(1)\n",
+    "N 1\nN 2\nE 1 2\nM 1 XZ 2/3 pi\nN 3\nZ 3 s(1)\nE 2 3\nM 3 Y 0\n"
+    "X 2 s(3)\nZ 2 s(1)\n",
+    "input: 1 2\nE 1 2\nM 1 XY 1/4 pi\nN 3\nE 2 3\nX 2 s(1)\n"
+    "M 2 X 1 pi\nZ 3 s(2)\nX 3 s(1)\nN 4\nE 3 4\nM 3 YZ 1/5 pi\n"
+    "X 4 s(3)\n",
+    "input: 1\nN 2\nM 2 X 1 pi\nN 3\nE 1 3\nX 3 s(2)\nM 1 XY 3/4 pi\n"
+    "Z 3 s(1)\nZ 3 s(2)\n",
+]
+
+# Zero-probability branches: a fresh |+> measured along X at angle pi
+# (outcome 0 impossible) or at angle 0 (outcome 1 impossible).
+ZERO_BRANCHES = [
+    "input: 1\nN 2\nN 3\nE 1 2\nM 3 X 1 pi\nM 1 XY 1/4 pi\nX 2 s(3)\n",
+    "N 1\nN 2\nN 3\nE 2 3\nM 1 X 0\nZ 2 s(1)\nM 2 X 1 pi\n"
+    "X 3 s(2)\nZ 3 s(1)\n",
+    "input: 1\nN 2\nM 2 X 0\nN 3\nE 1 3\nM 1 Y 1 pi\nX 3 s(2)\n"
+    "X 3 s(1)\n",
+]
+
+
 class TestAgainstOracle:
     def test_branch_states_match(self):
         cases = random_patterns(12, seed=21)
         assert len(cases) >= 8
         for _, pat, _ in cases:
+            assert_matches_oracle(pat)
+
+    def test_more_random_patterns(self):
+        for _, pat, _ in random_patterns(20, seed=31):
+            assert_matches_oracle(pat)
+
+    @pytest.mark.parametrize("text", NON_STANDARD)
+    def test_non_standard_patterns(self, text):
+        assert_matches_oracle(parse(text))
+
+    @pytest.mark.parametrize("text", ZERO_BRANCHES)
+    def test_zero_probability_branches(self, text):
+        branches = assert_matches_oracle(parse(text))
+        assert any(np.allclose(b.state, 0) for b in branches)
+        assert branches_complete(branches)
+
+    def test_vector_inputs(self):
+        rng = np.random.default_rng(7)
+        texts = NON_STANDARD + ZERO_BRANCHES
+        texts += [print_pattern(pat) for _, pat, _ in random_patterns(6, seed=32)]
+        for text in texts:
+            pat = parse(text)
+            d = 1 << pat.inputs.bit_count()
+            vec = rng.normal(size=d) + 1j * rng.normal(size=d)
+            assert_matches_oracle(pat, input_state=vec)
+            assert_matches_oracle(pat, input_state=rng.normal(size=(d, 3)))
+
+    def test_keep_measured_matches_oracle(self):
+        texts = NON_STANDARD + ZERO_BRANCHES
+        texts += [print_pattern(pat) for _, pat, _ in random_patterns(6, seed=33)]
+        for text in texts:
+            pat = parse(text)
+            bases = {c.qubit: eigenpair(c.label, c.angle)
+                     for c in pat.commands if isinstance(c, Measure)}
+            live = members(pat.outputs)
             expect = oracle_branches(pat)
-            got = {frozenset(b.outcomes.items()): b.state
-                   for b in run_pattern(pat)}
-            assert set(got) == set(expect)
-            for k in got:
-                assert np.allclose(got[k], expect[k], atol=1e-9)
+            branches = run_pattern(pat, keep_measured=True)
+            for b in branches:
+                assert b.qubits == tuple(sorted(live + list(bases)))
+                mat = expect[frozenset(b.outcomes.items())]
+                full = np.zeros((1 << len(b.qubits), mat.shape[1]), dtype=complex)
+                for row in range(len(full)):
+                    bits = {q: (row >> j) & 1 for j, q in enumerate(b.qubits)}
+                    amp = 1
+                    for u, vecs in bases.items():
+                        amp *= vecs[b.outcomes[u]][bits[u]]
+                    live_row = sum(bits[q] << j for j, q in enumerate(live))
+                    full[row] = amp * mat[live_row]
+                assert np.allclose(b.state, full, atol=1e-9)
 
     def test_completeness(self):
         for _, pat, _ in random_patterns(10, seed=22):
@@ -298,6 +401,54 @@ class TestInputHandling:
             run_pattern(pat, capacity=4)
 
 
+def interleaved_chain(n):
+    """N 0; M 0; N 1; M 1; ...: one live qubit at a time, n outcomes."""
+    cmds = []
+    for i in range(n):
+        cmds += [New(i), Measure(i, MeasurementLabel.XY, Angle.from_fraction(1, 4))]
+    return Pattern(n, tuple(cmds), inputs=0, outputs=0)
+
+
+def grid(rows, cols):
+    """rows x cols cluster state, inputs the first column and outputs the
+    last, every measured vertex XY at angle pi/4."""
+    def index(i, j):
+        return i * cols + j
+
+    edges = [(index(i, j), index(i, j + 1)) for i in range(rows) for j in range(cols - 1)]
+    edges += [(index(i, j), index(i + 1, j)) for i in range(rows - 1) for j in range(cols)]
+    measured = [index(i, j) for i in range(rows) for j in range(cols - 1)]
+    og = OpenGraph(Graph.from_edges(rows * cols, edges),
+                   mask_of(index(i, 0) for i in range(rows)),
+                   mask_of(index(i, cols - 1) for i in range(rows)),
+                   {u: MeasurementLabel.XY for u in measured})
+    flow = find_pauli_flow(og).flow
+    m = Mbqc(og, {u: Angle.from_fraction(1, 4) for u in measured},
+             synthesize_corrections(og, flow))
+    return m, completed_order(og, flow)
+
+
+class TestCapacity:
+    def test_outcome_axes_count(self):
+        # outcome axes count towards capacity: 13 sequential measurements
+        # exceed the default of 12 although one qubit is live at a time
+        with pytest.raises(CapacityError):
+            run_pattern(interleaved_chain(13))
+        with pytest.raises(CapacityError):
+            run_pattern(interleaved_chain(5), capacity=4)
+        assert len(run_pattern(interleaved_chain(4), capacity=4)) == 16
+
+    def test_grid_2x7_robust_at_capacity_14(self):
+        m, order = grid(2, 7)
+        with pytest.raises(CapacityError):
+            check_robust_deterministic(m, angle_samples=3, order=order)
+        rep = check_robust_deterministic(m, angle_samples=3, order=order,
+                                         capacity=14)
+        assert rep["ok"], rep["failure"]
+        # one total order over 12 measured vertices: 13 truncations of 8
+        assert rep["checks"] == 13 * 8
+
+
 class TestImplications:
     def test_strong_implies_deterministic(self):
         for _, pat, _ in random_patterns(10, seed=23):
@@ -341,3 +492,127 @@ class TestRobustness:
         rev = PartialOrder.from_pairs(3, [(1, 0)])
         with pytest.raises(ContractError):
             check_robust_deterministic(m, angle_samples=1, order=rev)
+
+
+# ---------------------------------------------------------------------------
+# reference robustness check: one pattern per (truncation, assignment), each
+# run on the oracle and compared branch by branch
+
+
+def reference_lowersets(vertices, order):
+    out = []
+    vs = list(vertices)
+    for mask in range(1 << len(vs)):
+        sel = {vs[i] for i in range(len(vs)) if (mask >> i) & 1}
+        if all(not (order.less(u, v) and u not in sel) for v in sel for u in vs):
+            out.append(tuple(sorted(sel)))
+    return out
+
+
+def reference_proportional(a, b, tol):
+    na, nb = np.linalg.norm(a), np.linalg.norm(b)
+    if na <= tol or nb <= tol:
+        return True
+    return abs(abs(np.vdot(a, b)) - na * nb) <= tol * na * nb + tol
+
+
+def reference_strong(pat, real_inputs, tol, seed):
+    maps = oracle_branches(pat)
+    measured = [c.qubit for c in pat.commands if isinstance(c, Measure)]
+    states = [maps[k] for k in sorted(
+        maps, key=lambda k: tuple(dict(k)[u] for u in measured))]
+    if real_inputs:
+        tests = _test_vectors(1 << pat.inputs.bit_count(), real=True, seed=seed)
+        states = [s @ tests for s in states]
+        for b in states[1:]:
+            for j in range(tests.shape[1]):
+                a, c = states[0][:, j], b[:, j]
+                if abs(np.linalg.norm(a) - np.linalg.norm(c)) > tol:
+                    return False
+                if not reference_proportional(a, c, tol):
+                    return False
+        return True
+    ref = states[0]
+    idx = np.unravel_index(np.argmax(np.abs(ref)), ref.shape)
+    if abs(ref[idx]) <= tol:
+        return all(np.allclose(b, 0, atol=tol) for b in states)
+    for b in states[1:]:
+        c = b[idx] / ref[idx]
+        if abs(abs(c) - 1) > tol:
+            return False
+        if not np.allclose(b, c * ref, atol=tol):
+            return False
+    return True
+
+
+def reference_robust(m, angle_samples, seed, tol, order):
+    og = m.og
+    real_mode = og.is_real
+    checks = 0
+    for keep in reference_lowersets(sorted(og.labels), measurement_order(m, order)):
+        sub_og = OpenGraph(og.graph, og.inputs, og.outputs | (og.measured & ~mask_of(keep)),
+                           {u: og.labels[u] for u in keep}, og.names)
+        strategy = CorrectionStrategy({u: m.strategy.x[u] for u in keep},
+                                      {u: m.strategy.z[u] for u in keep})
+        for angles in _angle_assignments(m, keep, angle_samples, seed + len(keep)):
+            pat = to_pattern(Mbqc(sub_og, angles, strategy), order)
+            checks += 1
+            verdict = validate(pat)
+            if not verdict:
+                raise ContractError(f"pattern is not valid: {verdict.message}")
+            if not reference_strong(pat, real_mode, tol, seed):
+                return {
+                    "ok": False,
+                    "checks": checks,
+                    "failure": {
+                        "measured": [og.names[u] for u in keep],
+                        "angles": {og.names[u]: str(a) for u, a in angles.items()},
+                        "real_inputs": real_mode,
+                    },
+                }
+    return {"ok": True, "checks": checks, "failure": None}
+
+
+def report_or_error(check, m, **kw):
+    try:
+        return check(m, **kw)
+    except ContractError as e:
+        return ("ContractError", str(e))
+
+
+def one_target_mutants(m, rng, count):
+    """Strategies with one correction target toggled; non-extensive ones
+    are skipped."""
+    out = []
+    labels = sorted(m.og.labels)
+    while len(out) < count:
+        u, v = rng.choice(labels), rng.randrange(m.og.n)
+        x, z = dict(m.strategy.x), dict(m.strategy.z)
+        side = x if rng.random() < 0.5 else z
+        side[u] ^= 1 << v
+        try:
+            out.append(Mbqc(m.og, m.angles, CorrectionStrategy(x, z)))
+        except (ValueError, ContractError):
+            continue
+    return out
+
+
+def test_robust_reports_match_reference():
+    """The batched check reports what the one-pattern-per-assignment loop on
+    the oracle reports: verdict, checks count and failing truncation and
+    angles, or the same ContractError."""
+    rng = random.Random(41)
+    cases = random_patterns(100, seed=41)
+    assert len(cases) >= 100
+    reports = []
+    for i, (m, _, flow) in enumerate(cases):
+        orders = [flow.order, completed_order(m.og, flow), None]
+        mutants = one_target_mutants(m, rng, 1)
+        runs = [(m, o) for o in orders] + [(mut, flow.order) for mut in mutants]
+        for mbqc, order in runs:
+            kw = dict(angle_samples=1, seed=i, tol=1e-9, order=order)
+            got = report_or_error(check_robust_deterministic, mbqc, **kw)
+            assert got == report_or_error(reference_robust, mbqc, **kw)
+            reports.append(got)
+    assert any(isinstance(r, dict) and not r["ok"] for r in reports)
+    assert any(isinstance(r, dict) and r["ok"] for r in reports)
