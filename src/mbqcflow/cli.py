@@ -188,7 +188,7 @@ def cmd_check(pattern_file, level, samples, seed, tolerance, as_json):
                     order=_pattern_measurement_order(pat))
                 ok = report["ok"]
                 doc.update(report)
-    except CapacityError as e:
+    except (CapacityError, ContractError) as e:
         _fail_parse(str(e))
     doc["ok"] = ok
     _report(doc, as_json, f"{level}: {'pass' if ok else 'FAIL'}")

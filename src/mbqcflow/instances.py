@@ -34,6 +34,8 @@ class InstanceSpec:
             raise ContractError("input/output counts out of range")
         if not 0 <= self.edge_probability <= 1:
             raise ContractError("edge probability out of range")
+        if not self.labels and self.n_outputs < self.n:
+            raise ContractError("label pool is empty but some vertex is measured")
         for s in self.labels:
             MeasurementLabel.from_string(s)
 

@@ -33,7 +33,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import ContractError
-from .gf2 import mask_of, members, rank, solve
+from .gf2 import echelon, mask_of, members, rank, solve
 from .graphs import MeasurementLabel, OpenGraph
 from .patterns import Angle, Mbqc, measurement_linearization
 
@@ -142,6 +142,11 @@ def _product(generators: Sequence[PauliOperator], combo: int) -> PauliOperator:
     return prod
 
 
+def _indexed_rows(generators: Sequence[PauliOperator], n: int) -> List[int]:
+    """Row x | z << n of each generator i, with bit 2n + i marking it."""
+    return [g.x | g.z << n | 1 << (2 * n + i) for i, g in enumerate(generators)]
+
+
 def initial_stabilizers(og: OpenGraph, zero_inputs: int = 0) -> StabilizerState:
     """Graph state over og with the inputs in `zero_inputs` prepared in |0>.
 
@@ -178,15 +183,9 @@ def measure_outcome(state: StabilizerState, m: PauliOperator) -> Optional[int]:
     if any(not g.commutes(m) for g in state.generators):
         return None
     n = state.n
-    rows = []
-    for b in range(2 * n):
-        rows.append(mask_of(i for i, g in enumerate(state.generators)
-                            if ((g.x | (g.z << n)) >> b) & 1))
-    target = m.x | (m.z << n)
-    rhs = [(target >> b) & 1 for b in range(2 * n)]
-    sol = solve(rows, rhs, len(state.generators))
-    assert sol is not None  # m is in the span (see above)
-    return 0 if _product(state.generators, sol[0]).phase == m.phase else 1
+    pivots, combo = echelon(_indexed_rows(state.generators, n) + [m.x | m.z << n], 2 * n)
+    assert len(pivots) == n  # m's row reduced to zero: m is in the span
+    return 0 if _product(state.generators, combo).phase == m.phase else 1
 
 
 def collapse(state: StabilizerState, m: PauliOperator, outcome: int) -> StabilizerState:
@@ -231,26 +230,13 @@ def reorder_generators(state: StabilizerState,
 
 
 def canonical_generators(generators: Sequence[PauliOperator], n: int) -> Tuple[PauliOperator, ...]:
-    """Unique generating set of the signed group (row-reduced echelon form).
+    """Unique generating set of the signed group: one product per echelon pivot.
 
     Two generator lists span the same signed stabilizer group exactly when
     their canonical forms are equal.
     """
-    work = list(generators)
-    out: List[PauliOperator] = []
-    for b in range(2 * n):
-        cand = None
-        for k, g in enumerate(work):
-            if ((g.x | (g.z << n)) >> b) & 1:
-                cand = k
-                break
-        if cand is None:
-            continue
-        pivot = work.pop(cand)
-        work = [g * pivot if ((g.x | (g.z << n)) >> b) & 1 else g for g in work]
-        out = [g * pivot if ((g.x | (g.z << n)) >> b) & 1 else g for g in out]
-        out.append(pivot)
-    return tuple(out)
+    pivots, _ = echelon(_indexed_rows(generators, n), 2 * n)
+    return tuple(_product(generators, pivots[col] >> 2 * n) for col in sorted(pivots))
 
 
 def _supported_combinations(generators: Sequence[PauliOperator], support: int,

@@ -27,12 +27,20 @@ Determinism is tested per input vector (branch outputs pairwise proportional),
 strong determinism adds equal norms; on real open graphs the test vectors are
 real, since branch phases may legitimately depend on the input there.
 
-The robustness check runs one pattern per truncation with all of that
-truncation's angle assignments on the A axis.  An assignment changes only
-the eigenvectors a measurement contracts with, never the command sequence,
-so slice a of the tensor is the run of the pattern built with assignment a,
-and the first failing slice of the first failing truncation is the pair a
-one-pattern-per-assignment loop would report.
+The robustness check builds and validates one pattern with `to_pattern`;
+`_truncate` reads each lowerset K of the measurement order off it by
+dropping every `M v` with v outside K and every correction v signals, so
+those qubits become outputs.  That is what `to_pattern` builds for the
+truncated MBQC (K measured, strategy restricted to K): (1) K is downward
+closed, so every chain below a vertex of K stays in K and the truncated
+order is the full one restricted to K; when the full smallest linear
+extension places some k2 in K, each smaller k1 in K with its predecessors
+(all in K) placed is available too, so K comes in its own smallest order.
+(2) It is valid: kept commands keep their order, each kept correction's
+signal is in K and measured before it, and exactly K is measured.  Each
+truncation runs once with all its angle assignments on the A axis: an
+assignment changes only the eigenvectors a measurement contracts with, so
+slice a is the run of the pattern built with assignment a.
 """
 
 from __future__ import annotations
@@ -45,12 +53,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import CapacityError, ContractError
-from .gf2 import members
-from .graphs import MeasurementLabel, OpenGraph
+from .gf2 import mask_of, members
+from .graphs import MeasurementLabel
 from .patterns import (PI_ANGLE, ZERO_ANGLE, Angle, CorrectX, CorrectZ,
                        Entangle, Measure, Mbqc, New, Pattern, measurement_order,
                        to_pattern, validate)
-from .synthesis import CorrectionStrategy
 
 DEFAULT_CAPACITY = 12
 DEFAULT_TOL = 1e-9
@@ -351,13 +358,17 @@ def _lowersets(vertices: Sequence[int], order) -> List[Tuple[int, ...]]:
             if all(not below[i] & ~mask for i in members(mask))]
 
 
-def _truncate(m: Mbqc, keep: Sequence[int]) -> OpenGraph:
-    og = m.og
-    drop = og.measured
-    for u in keep:
-        drop &= ~(1 << u)
-    return OpenGraph(og.graph, og.inputs, og.outputs | drop,
-                     {u: og.labels[u] for u in keep}, og.names)
+def _truncate(pat: Pattern, keep: int) -> Pattern:
+    """`pat` without the measurements outside `keep` (a bitmask) and the
+    corrections they signal (see the module docstring)."""
+    def kept(cmd) -> bool:
+        if isinstance(cmd, (CorrectX, CorrectZ)):
+            return bool(keep >> cmd.signal & 1)
+        return not isinstance(cmd, Measure) or bool(keep >> cmd.qubit & 1)
+
+    # A list, not an iterator: tuple() resizing fills CPython's tuple free lists.
+    return Pattern(pat.n, tuple([cmd for cmd in pat.commands if kept(cmd)]),
+                   pat.inputs, ((1 << pat.n) - 1) & ~keep, pat.names)
 
 
 def _angle_assignments(m: Mbqc, keep: Sequence[int], samples: int, seed: int) -> List[Dict[int, Angle]]:
@@ -406,27 +417,27 @@ def check_robust_deterministic(m: Mbqc, angle_samples: int = 20, seed: int = 0,
     of the actual computation; corrections deliberately dropped onto
     earlier-measured same-axis Pauli vertices are only sound there.
 
-    Each truncation is one engine run with all its angle assignments on the
-    A axis; `checks` counts (truncation, assignment) pairs up to and
-    including the first failing one.
+    Each truncation is a filter of one pattern, run once with all its angle
+    assignments (see the module docstring); `checks` counts (truncation,
+    assignment) pairs up to and including the first failing one.  A
+    Pauli-labelled angle other than exact 0 or pi raises ContractError
+    before any truncation runs.
 
     Returns a JSON-able report {"ok", "checks", "failure"}; `failure` names
     the offending truncation and angle assignment when one is found.
     """
     og = m.og
     induced = measurement_order(m, order)
+    full = to_pattern(m, order)
+    _require_valid(full)
     real_mode = og.is_real
     d_in = 1 << og.inputs.bit_count()
     columns = _test_vectors(d_in, real=True, seed=seed) if real_mode else np.eye(d_in)
     known: Dict[Tuple[MeasurementLabel, Angle], np.ndarray] = {}
     checks = 0
     for keep in _lowersets(sorted(og.labels), induced):
-        sub_strategy = CorrectionStrategy(
-            {u: m.strategy.x[u] for u in keep},
-            {u: m.strategy.z[u] for u in keep})
         assignments = _angle_assignments(m, keep, angle_samples, seed + len(keep))
-        pat = to_pattern(Mbqc(_truncate(m, keep), assignments[0], sub_strategy), order)
-        _require_valid(pat)
+        pat = _truncate(full, mask_of(keep))
         out, _, _ = _run(pat, columns, _bases(pat, assignments, known), capacity)
         failed = np.flatnonzero(_strong_failures(out, real_mode, tol))
         if failed.size:

@@ -250,6 +250,15 @@ MALFORMED = {
     "pattern-angle-zero-denominator": (["check", "pat.json"], {"pat.json": _pattern_doc(
         {"type": "M", "qubit": "a", "label": "XY", "angle": {"num": 1, "den": 0}})}),
     "graph-not-utf8": (["find-flow", "bad.json"], {"bad.json": b"\xff\xfe"}),
+    "pattern-pauli-fraction-angle-det": (["check", "--level", "det", "pat.mcpat"], {
+        "pat.mcpat": b"N 1\nN 2\nE 1 2\nM 1 X 1/2 pi\n"}),
+    "pattern-pauli-float-angle-robust": (["check", "--level", "robust", "pat.mcpat"], {
+        "pat.mcpat": b"N 1\nN 2\nE 1 2\nM 1 X 0.0\n"}),
+    "pattern-pauli-radians-det": (["check", "--level", "det", "pat.json"], {"pat.json": _pattern_doc(
+        {"type": "M", "qubit": "a", "label": "X", "angle": {"radians": 1.0}})}),
+    "pattern-pauli-radians-robust": (["check", "pat.json"], {"pat.json": _pattern_doc(
+        {"type": "M", "qubit": "a", "label": "X", "angle": {"radians": 1.0}})}),
+    "generate-empty-label-pool": (["generate", "--n", "3", "--labels", ","], {}),
 }
 
 

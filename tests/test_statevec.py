@@ -21,8 +21,8 @@ from mbqcflow.patterns import (Angle, CorrectX, CorrectZ, Entangle, Mbqc,
                                measurement_order, parse, print_pattern,
                                to_pattern, validate)
 from mbqcflow.search import find_pauli_flow, find_pauli_flow_bruteforce
-from mbqcflow.statevec import (_angle_assignments, _test_vectors, branch_map,
-                               branches_complete, check_deterministic,
+from mbqcflow.statevec import (_angle_assignments, _test_vectors, _truncate,
+                               branch_map, branches_complete, check_deterministic,
                                check_robust_deterministic,
                                check_strong_deterministic, eigenpair,
                                run_pattern)
@@ -479,6 +479,17 @@ class TestRobustness:
         assert not rep["ok"]
         assert rep["failure"]["measured"] is not None
 
+    def test_inexact_pauli_angle_rejected_before_truncations(self):
+        # truncation {0} fails without corrections, but the X-labelled
+        # vertex 1 at angle pi/2 is rejected before any truncation runs
+        g = Graph.from_edges(3, [(0, 1), (1, 2)])
+        og = OpenGraph(g, 0b001, 0b100,
+                       {0: MeasurementLabel.XY, 1: MeasurementLabel.X})
+        angles = {0: Angle.from_fraction(1, 4), 1: Angle.from_fraction(1, 2)}
+        m = Mbqc(og, angles, CorrectionStrategy({0: 0, 1: 0}, {0: 0, 1: 0}))
+        with pytest.raises(ContractError, match="exact angle 0 or pi"):
+            check_robust_deterministic(m, angle_samples=1)
+
     def test_conflicting_order_rejected(self):
         g = Graph.from_edges(3, [(0, 1), (1, 2)])
         og = OpenGraph(g, 0b001, 0b100,
@@ -545,11 +556,16 @@ def reference_robust(m, angle_samples, seed, tol, order):
     og = m.og
     real_mode = og.is_real
     checks = 0
-    for keep in reference_lowersets(sorted(og.labels), measurement_order(m, order)):
+    induced = measurement_order(m, order)
+    full = to_pattern(m, order)
+    for keep in reference_lowersets(sorted(og.labels), induced):
         sub_og = OpenGraph(og.graph, og.inputs, og.outputs | (og.measured & ~mask_of(keep)),
                            {u: og.labels[u] for u in keep}, og.names)
         strategy = CorrectionStrategy({u: m.strategy.x[u] for u in keep},
                                       {u: m.strategy.z[u] for u in keep})
+        # the checked truncation is a filter of the full pattern
+        own = to_pattern(Mbqc(sub_og, {u: m.angles[u] for u in keep}, strategy), order)
+        assert _truncate(full, mask_of(keep)) == own and validate(own)
         for angles in _angle_assignments(m, keep, angle_samples, seed + len(keep)):
             pat = to_pattern(Mbqc(sub_og, angles, strategy), order)
             checks += 1
