@@ -9,23 +9,26 @@ purpose so that tests can confront them on exhaustively enumerated instances.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import ContractError, FormatError
 from .gf2 import mask_of, members
-from .graphs import (MeasurementLabel, OpenGraph, VertexNames,
-                     closed_odd_neighborhood, expect_json, odd_neighborhood,
-                     read_document)
+from .graphs import (MeasurementLabel, OpenGraph, VertexNames, expect_json,
+                     odd_neighborhood, read_document)
 
 
 @dataclass(frozen=True)
 class PartialOrder:
     """Strict partial order over vertex ids, stored transitively closed.
 
-    succ[u] is the bitmask of vertices v with u < v.  `from_pairs` computes
-    the closure of generator pairs, once.  The constructor checks the stored
-    relation in one pass: succ[v] is a subset of succ[u] for every v in
-    succ[u] (this is transitivity) and u is never in succ[u].
+    succ[u] is the bitmask of vertices v with u < v; `pred` is its transpose.
+    The constructor checks, in one pass, that u is never in succ[u] and that
+    succ[v] is a subset of succ[u] for every v in succ[u].  Rows closed by
+    construction skip it (`_closed`): `chain` (a row holds the later vertices;
+    a repeat is rejected), `from_pairs` and the order joins (`_close`, a
+    Warshall closure: a cycle puts u in succ[u] and is rejected), and the
+    layered order of `find_pauli_flow` (a row holds every earlier round).
     """
 
     n: int
@@ -43,13 +46,30 @@ class PartialOrder:
                 raise ValueError("succ relation is not transitively closed")
 
     @classmethod
+    def _closed(cls, n: int, succ: Tuple[int, ...]) -> "PartialOrder":
+        out = object.__new__(cls)  # closed by construction: not re-checked
+        out.__dict__.update(n=n, succ=succ)
+        return out
+
+    @classmethod
+    def _close(cls, n: int, rows: List[int]) -> "PartialOrder":
+        for k in range(n):
+            if rows[k]:
+                bit, row_k = 1 << k, rows[k]
+                rows = [row | row_k if row & bit else row for row in rows]
+        for u, row in enumerate(rows):
+            if (row >> u) & 1:
+                raise ValueError(f"order has a cycle through vertex {u}")
+        return cls._closed(n, tuple(rows))
+
+    @classmethod
     def from_pairs(cls, n: int, pairs: Iterable[Tuple[int, int]]) -> "PartialOrder":
         succ = [0] * n
         for a, b in pairs:
             if not (0 <= a < n and 0 <= b < n):
                 raise ValueError(f"order pair ({a},{b}) out of range")
             succ[a] |= 1 << b
-        return cls(n, tuple(_transitive_closure(succ)))
+        return cls._close(n, succ)
 
     @classmethod
     def chain(cls, n: int, sequence: Sequence[int]) -> "PartialOrder":
@@ -57,41 +77,45 @@ class PartialOrder:
         succ = [0] * n
         later = 0
         for u in reversed(sequence):
+            if (later >> u) & 1:
+                raise ValueError(f"order has a cycle through vertex {u}")
             succ[u] = later
             later |= 1 << u
-        return cls(n, tuple(succ))
+        return cls._closed(n, tuple(succ))
 
     @classmethod
     def empty(cls, n: int) -> "PartialOrder":
-        return cls(n, (0,) * n)
+        return cls._closed(n, (0,) * n)
+
+    @cached_property
+    def pred(self) -> Tuple[int, ...]:
+        """pred[u] is the bitmask of v with v < u."""
+        return tuple(mask_of(v for v, row in enumerate(self.succ) if (row >> u) & 1)
+                     for u in range(self.n))
 
     def less(self, a: int, b: int) -> bool:
         return bool((self.succ[a] >> b) & 1)
 
     def pred_mask(self, u: int) -> int:
         """Bitmask of v with v < u."""
-        return mask_of(v for v in range(self.n) if (self.succ[v] >> u) & 1)
+        return self.pred[u]
 
     def pairs(self) -> List[Tuple[int, int]]:
         return [(a, b) for a in range(self.n) for b in members(self.succ[a])]
 
     def is_total_on(self, domain: int) -> bool:
-        for a in members(domain):
-            for b in members(domain):
-                if a != b and not self.less(a, b) and not self.less(b, a):
-                    return False
-        return True
+        return all((self.succ[a] | self.pred[a] | 1 << a) & domain == domain
+                   for a in members(domain))
 
-
-def _transitive_closure(succ: List[int]) -> List[int]:
-    n = len(succ)
-    closed = list(succ)
-    for k in range(n):
-        row_k = closed[k]
-        for u in range(n):
-            if (closed[u] >> k) & 1:
-                closed[u] |= row_k
-    return closed
+    def minimal(self, mask: int) -> int:
+        """The minimal vertices of `mask`, walked lowest id first: a vertex
+        above a walked one is skipped, and every minimal one is walked."""
+        above, rest = 0, mask
+        while rest:
+            low = rest & -rest
+            above |= self.succ[low.bit_length() - 1]
+            rest &= ~(above | low)
+        return mask & ~above
 
 
 @dataclass(frozen=True)
@@ -137,17 +161,9 @@ def _check_well_formed(og: OpenGraph, f: CorrectionFlow) -> None:
             raise ContractError(f"p({u}) intersects the inputs")
     if f.order.n != og.n:
         raise ContractError("order size does not match the graph")
-    for a, b in f.order.pairs():
-        if not ((measured >> a) & 1 and (measured >> b) & 1):
+    for u, row in enumerate(f.order.succ):
+        if row and not ((measured >> u) & 1 and row & measured == row):
             raise ContractError("order must relate non-output vertices only")
-
-
-def _axis_set(og: OpenGraph, axis: str, c: int) -> int:
-    if axis == "X":
-        return odd_neighborhood(og.graph, c)
-    if axis == "Y":
-        return closed_odd_neighborhood(og.graph, c)
-    return c
 
 
 def verify_pauli_flow(og: OpenGraph, f: CorrectionFlow) -> Verdict:
@@ -155,21 +171,28 @@ def verify_pauli_flow(og: OpenGraph, f: CorrectionFlow) -> Verdict:
 
     For axis A in the label of u, with K_A the odd neighbourhood (X), closed
     odd neighbourhood (Y) or the set itself (Z): u must lie in K_A(p(u)) and
-    outside K_A(p(v)) for every measured v != u with not(v < u).
+    outside K_A(p(v)) for every measured v != u with not(v < u).  Each
+    K_A(p(v)) is computed once and transposed into the hit mask hits_A[u] =
+    {v != u : u in K_A(p(v))} minus pred[u].  Its lowest vertex is the
+    witness a walk over v in ascending order meets first; u and its axes are
+    walked in ascending order too, so the first violation is that walk's.
     """
     _check_well_formed(og, f)
-    measured_list = sorted(f.p)
-    for u in measured_list:
-        pred = f.order.pred_mask(u)
+    masks = {axis: og.axis_vertices(axis) for axis in "XYZ"}
+    own = dict.fromkeys("XYZ", 0)  # u is in own[A] when u is in K_A(p(u))
+    hits = {axis: [0] * og.n for axis in "XYZ"}
+    for v, c in f.p.items():
+        bit, odd = 1 << v, odd_neighborhood(og.graph, c)
+        for axis, k in zip("XYZ", (odd, odd ^ c, c)):
+            own[axis] |= k & bit
+            for u in members(k & masks[axis] & ~bit & ~f.order.succ[v]):
+                hits[axis][u] |= bit
+    for u in sorted(f.p):
         for axis in sorted(og.labels[u].axes):
-            cond = f"c_{axis}"
-            if not (_axis_set(og, axis, f.p[u]) >> u) & 1:
-                return Verdict(False, u, cond)
-            for v in measured_list:
-                if v == u or (pred >> v) & 1:
-                    continue  # v < u or v = u: excluded from the union
-                if (_axis_set(og, axis, f.p[v]) >> u) & 1:
-                    return Verdict(False, u, cond, v)
+            if not (own[axis] >> u) & 1:
+                return Verdict(False, u, f"c_{axis}")
+            if hits[axis][u]:
+                return Verdict(False, u, f"c_{axis}", members(hits[axis][u])[0])
     return _OK
 
 

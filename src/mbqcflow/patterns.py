@@ -244,15 +244,17 @@ class Mbqc:
 def measurement_order(m: Mbqc, order: Optional[PartialOrder] = None) -> PartialOrder:
     """The strategy-induced order joined with `order` restricted to the
     measured vertices (e.g. the flow order the corrections were synthesized
-    for).  Raises ContractError when the two are not jointly acyclic."""
+    for), closed once.  Raises ContractError when they are not jointly acyclic."""
     induced = strategy_order(m.strategy, m.og)
     if order is None:
         return induced
     measured = m.og.measured
-    pairs = induced.pairs() + [(a, b) for a, b in order.pairs()
-                               if (measured >> a) & 1 and (measured >> b) & 1]
+    rows = list(induced.succ)
+    for u, row in enumerate(order.succ):
+        if (measured >> u) & 1:
+            rows[u] |= row & measured
     try:
-        return PartialOrder.from_pairs(m.og.n, pairs)
+        return PartialOrder._close(m.og.n, rows)
     except ValueError as e:
         raise ContractError(f"order conflicts with the strategy: {e}") from e
 
@@ -269,6 +271,11 @@ def to_pattern(m: Mbqc, order: Optional[PartialOrder] = None) -> Pattern:
 
     `order` further constrains the measurement sequence (see
     measurement_linearization)."""
+    return _standard_pattern(m, measurement_order(m, order))
+
+
+def _standard_pattern(m: Mbqc, induced: PartialOrder) -> Pattern:
+    """to_pattern(m, order) given induced = measurement_order(m, order)."""
     og = m.og
     for u, angle in m.angles.items():
         if og.labels[u].is_pauli and not angle.is_zero_or_pi:
@@ -279,7 +286,7 @@ def to_pattern(m: Mbqc, order: Optional[PartialOrder] = None) -> Pattern:
         cmds.append(New(u))
     for a, b in og.graph.edges():
         cmds.append(Entangle(a, b))
-    for u in measurement_linearization(m, order):
+    for u in linearize(induced, og.measured):
         cmds.append(Measure(u, og.labels[u], m.angles[u]))
         for v in members(m.strategy.x[u]):
             cmds.append(CorrectX(v, u))

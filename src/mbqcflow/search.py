@@ -177,7 +177,7 @@ def find_pauli_flow(og: OpenGraph) -> FlowSearchResult:
                                  for row in rows_of[u]], ncols)
         p = [0] * len(remaining)
         for col, row in pivots.items():
-            for k in members(row >> ncols):
+            for k in members((row >> ncols) & ~stuck):
                 p[k] |= 1 << ic[col]
         layer = {u: p[k] for k, u in enumerate(remaining) if not stuck >> k & 1}
         if not layer:
@@ -187,22 +187,15 @@ def find_pauli_flow(og: OpenGraph) -> FlowSearchResult:
         solved |= mask_of(layer)
         chosen.update(layer)
         remaining = [u for u in remaining if u not in layer]
-    flow = CorrectionFlow(chosen, PartialOrder(og.n, tuple(succ)))
+    flow = CorrectionFlow(chosen, PartialOrder._closed(og.n, tuple(succ)))
     return FlowSearchResult("found", flow, stats)
 
 
 def flow_depth(f: CorrectionFlow) -> int:
-    """Length of the longest chain in the flow order (0 when empty)."""
-    order = f.order
-    vertices = sorted(f.p)
-    memo: Dict[int, int] = {}
-
-    def height(u: int) -> int:
-        if u not in memo:
-            memo[u] = 0
-            for v in vertices:
-                if order.less(u, v):
-                    memo[u] = max(memo[u], height(v) + 1)
-        return memo[u]
-
-    return max((height(u) for u in vertices), default=0)
+    """Length of the longest chain in the flow order (0 when empty): one
+    less than the number of rounds that strip the minimal vertices."""
+    todo, rounds = mask_of(f.p), 0
+    while todo:
+        todo &= ~f.order.minimal(todo)
+        rounds += 1
+    return max(rounds - 1, 0)

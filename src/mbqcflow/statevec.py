@@ -27,7 +27,7 @@ Determinism is tested per input vector (branch outputs pairwise proportional),
 strong determinism adds equal norms; on real open graphs the test vectors are
 real, since branch phases may legitimately depend on the input there.
 
-The robustness check builds and validates one pattern with `to_pattern`;
+The robustness check builds and validates one pattern, the one `to_pattern` builds;
 `_truncate` reads each lowerset K of the measurement order off it by
 dropping every `M v` with v outside K and every correction v signals, so
 those qubits become outputs.  That is what `to_pattern` builds for the
@@ -56,8 +56,8 @@ from .errors import CapacityError, ContractError
 from .gf2 import mask_of, members
 from .graphs import MeasurementLabel
 from .patterns import (PI_ANGLE, ZERO_ANGLE, Angle, CorrectX, CorrectZ,
-                       Entangle, Measure, Mbqc, New, Pattern, measurement_order,
-                       to_pattern, validate)
+                       Entangle, Measure, Mbqc, New, Pattern, _standard_pattern,
+                       measurement_order, validate)
 
 DEFAULT_CAPACITY = 12
 DEFAULT_TOL = 1e-9
@@ -428,7 +428,7 @@ def check_robust_deterministic(m: Mbqc, angle_samples: int = 20, seed: int = 0,
     """
     og = m.og
     induced = measurement_order(m, order)
-    full = to_pattern(m, order)
+    full = _standard_pattern(m, induced)  # to_pattern(m, order), order built once
     _require_valid(full)
     real_mode = og.is_real
     d_in = 1 << og.inputs.bit_count()

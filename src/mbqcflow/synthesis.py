@@ -40,13 +40,11 @@ def strategy_order(strategy: CorrectionStrategy, og: OpenGraph) -> PartialOrder:
 
     Raises ContractError when the relation is cyclic (strategy not extensive).
     """
-    pairs = []
-    measured = og.measured
+    rows = [0] * og.n
     for u in strategy.x:
-        for v in members(strategy.targets(u) & measured):
-            pairs.append((u, v))
+        rows[u] = strategy.targets(u) & og.measured
     try:
-        return PartialOrder.from_pairs(og.n, pairs)
+        return PartialOrder._close(og.n, rows)
     except ValueError as e:
         raise ContractError(f"strategy is not extensive: {e}") from e
 
@@ -68,14 +66,15 @@ def is_extensive(strategy: CorrectionStrategy, og: OpenGraph,
 def linearize(order: PartialOrder, domain: int) -> List[int]:
     """The lexicographically smallest linear extension of `order` on the
     vertices of `domain` (bitmask): each step places the smallest id whose
-    predecessors in `domain` are all placed."""
-    pred = {u: order.pred_mask(u) & domain for u in members(domain)}
-    todo = domain
-    out: List[int] = []
-    while todo:
-        pick = next(u for u in members(todo) if not pred[u] & todo)
+    predecessors in `domain` are all placed; placing u frees only vertices
+    of succ[u]."""
+    ready, out = order.minimal(domain), []
+    while ready:
+        pick = (ready & -ready).bit_length() - 1
         out.append(pick)
-        todo &= ~(1 << pick)
+        ready &= ~(1 << pick)
+        if order.succ[pick] & domain:
+            ready = order.minimal(ready | order.succ[pick] & domain)
     return out
 
 
@@ -205,15 +204,13 @@ def parallel_measurement_order(og: OpenGraph, p: Mapping[int, int]) -> PartialOr
     """
     only_x = og.label_preimage(MeasurementLabel.X)
     only_z = og.label_preimage(MeasurementLabel.Z)
-    pairs = []
+    rows = [0] * og.n
     for u in sorted(og.labels):
         bit = 1 << u
-        for v in members(p[u] & only_x & ~bit):
-            pairs.append((v, u))
-        for v in members(odd_neighborhood(og.graph, p[u]) & only_z & ~bit):
-            pairs.append((v, u))
+        for v in members((p[u] & only_x | odd_neighborhood(og.graph, p[u]) & only_z) & ~bit):
+            rows[v] |= bit
     try:
-        return PartialOrder.from_pairs(og.n, pairs)
+        return PartialOrder._close(og.n, rows)
     except ValueError as e:
         raise ContractError(f"dropped corrections imply a cyclic order: {e}") from e
 

@@ -16,7 +16,22 @@ from mbqcflow.flows import (CorrectionFlow, PartialOrder, flow_from_json,
                             verify_real_pauli_flow)
 from mbqcflow.gf2 import members
 from mbqcflow.graphs import (Graph, MeasurementLabel, OpenGraph,
+                             closed_odd_neighborhood, odd_neighborhood,
                              open_graph_from_json)
+from mbqcflow.instances import InstanceSpec, generate_instance
+from mbqcflow.search import find_pauli_flow
+
+
+
+@st.composite
+def orders(draw):
+    """A random partial order: pairs oriented by a drawn ranking, so acyclic."""
+    n = draw(st.integers(1, 7))
+    rank = draw(st.permutations(range(n)))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=2 * n))
+    return PartialOrder.from_pairs(n, [tuple(sorted(pair, key=rank.__getitem__))
+                                       for pair in pairs if pair[0] != pair[1]])
 
 
 class TestPartialOrder:
@@ -54,6 +69,34 @@ class TestPartialOrder:
     def test_is_total_on(self):
         o = PartialOrder.from_pairs(3, [(0, 1), (1, 2)])
         assert o.is_total_on(0b111)
+
+    def test_unchecked_constructors_keep_their_errors(self):
+        with pytest.raises(ValueError, match="cycle through vertex 3"):
+            PartialOrder.chain(5, [3, 1, 3])
+        with pytest.raises(ValueError, match="^order has a cycle through vertex 1$"):
+            PartialOrder.from_pairs(4, [(3, 2), (2, 1), (1, 2)])
+        with pytest.raises(ValueError, match="^order has a cycle through vertex 0$"):
+            PartialOrder.from_pairs(3, [(2, 0), (0, 1), (1, 2)])
+        with pytest.raises(ValueError, match="out of range"):
+            PartialOrder.from_pairs(2, [(0, 2)])
+
+    @settings(max_examples=200, deadline=None)
+    @given(orders())
+    def test_pred_is_the_transpose_of_succ(self, o):
+        n = o.n
+        for u in range(n):
+            assert o.pred[u] == o.pred_mask(u) == sum(
+                1 << v for v in range(n) if (o.succ[v] >> u) & 1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(orders(), st.integers(0, 127))
+    def test_is_total_on_and_minimal_match_their_definitions(self, o, domain):
+        domain &= (1 << o.n) - 1
+        vs = members(domain)
+        assert o.is_total_on(domain) == all(
+            a == b or o.less(a, b) or o.less(b, a) for a in vs for b in vs)
+        assert members(o.minimal(domain)) == [
+            b for b in vs if not any(o.less(a, b) for a in vs)]
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)),
@@ -170,9 +213,11 @@ def test_well_formedness_contract():
         verify_pauli_flow(og, CorrectionFlow({0: 0}, order))  # missing vertex 1
     with pytest.raises(ContractError):
         verify_pauli_flow(og, CorrectionFlow({0: 1 << 5, 1: 0}, order))
-    bad_order = PartialOrder.from_pairs(3, [(0, 2)])  # relates an output
-    with pytest.raises(ContractError):
-        verify_pauli_flow(og, CorrectionFlow({0: 0, 1: 0}, bad_order))
+    for pair in [(0, 2), (2, 0)]:  # relates an output, above or below
+        bad_order = PartialOrder.from_pairs(3, [pair])
+        with pytest.raises(ContractError,
+                           match="order must relate non-output vertices only"):
+            verify_pauli_flow(og, CorrectionFlow({0: 0, 1: 0}, bad_order))
 
 
 def test_specialized_checkers_guard_labels():
@@ -219,3 +264,80 @@ def test_flow_json_roundtrip():
         flow_from_json({"p": {"zz": []}}, og)
     with pytest.raises(FormatError):
         flow_from_json("{bad", og)
+
+
+def verify_pauli_flow_pairwise(og, f):
+    """Reference: the per-axis conditions checked pair by pair, v ascending."""
+    k_of = {"X": odd_neighborhood, "Y": closed_odd_neighborhood,
+            "Z": lambda g, c: c}
+    vs = sorted(f.p)
+    for u in vs:
+        pred = f.order.pred_mask(u)
+        for axis in sorted(og.labels[u].axes):
+            k = k_of[axis]
+            if not (k(og.graph, f.p[u]) >> u) & 1:
+                return (False, u, f"c_{axis}", None)
+            for v in vs:
+                if v != u and not (pred >> v) & 1 and (k(og.graph, f.p[v]) >> u) & 1:
+                    return (False, u, f"c_{axis}", v)
+    return (True, None, None, None)
+
+
+def grid(rows, cols, seed):
+    """Cluster state with inputs in the first column and outputs in the last;
+    30 % of the inner measured vertices relabelled X or Y."""
+    edges = [(i * cols + j, i * cols + j + 1) for i in range(rows) for j in range(cols - 1)]
+    edges += [(i * cols + j, (i + 1) * cols + j) for i in range(rows - 1) for j in range(cols)]
+    labels = {i * cols + j: MeasurementLabel.XY for i in range(rows) for j in range(cols - 1)}
+    rng = random.Random(seed)
+    inner = [i * cols + j for i in range(rows) for j in range(1, cols - 1)]
+    for u in rng.sample(inner, round(0.3 * len(inner))):
+        labels[u] = rng.choice([MeasurementLabel.X, MeasurementLabel.Y])
+    return OpenGraph(Graph.from_edges(rows * cols, edges),
+                     sum(1 << (i * cols) for i in range(rows)),
+                     sum(1 << (i * cols + cols - 1) for i in range(rows)), labels)
+
+
+def mutants(og, f, rng, count):
+    """The flow itself, then flows with one correction-set bit flipped, with
+    the order emptied, or with a random order."""
+    yield f
+    vs = sorted(f.p)
+    free = members(og.non_inputs)
+    for _ in range(count):
+        p = dict(f.p)
+        u = rng.choice(vs)
+        p[u] ^= 1 << rng.choice(free) if free else 0
+        yield CorrectionFlow(p, f.order)
+    yield CorrectionFlow(f.p, PartialOrder.empty(og.n))
+    yield CorrectionFlow(f.p, PartialOrder.chain(og.n, rng.sample(vs, len(vs))))
+
+
+def test_hit_masks_match_the_pairwise_reference():
+    """Same verdict, vertex, condition and witness as the pair-by-pair walk,
+    on random flows and on mutants of found flows, failing ones included."""
+    rng = random.Random(11)
+    seen = failing = 0
+    for seed in range(300):
+        og = generate_instance(InstanceSpec(
+            n=3 + seed % 8, seed=seed, n_inputs=rng.randrange(3),
+            n_outputs=rng.randrange(1, 3), bipartite=seed % 3 == 0))
+        found = find_pauli_flow(og)
+        flows = list(mutants(og, found.flow, rng, 2)) if found.found else []
+        vs = members(og.measured)
+        for _ in range(3):
+            p = {u: rng.randrange(1 << og.n) & ~og.inputs for u in vs}
+            flows.append(CorrectionFlow(p, PartialOrder.chain(og.n, rng.sample(vs, len(vs)))))
+        for f in flows:
+            v = verify_pauli_flow(og, f)
+            assert (v.ok, v.vertex, v.condition, v.witness) == verify_pauli_flow_pairwise(og, f)
+            seen += 1
+            failing += not v.ok
+    for rows, cols in [(4, 8), (5, 10), (6, 12), (8, 16)]:
+        og = grid(rows, cols, 1)
+        for f in mutants(og, find_pauli_flow(og).flow, rng, 6):
+            v = verify_pauli_flow(og, f)
+            assert (v.ok, v.vertex, v.condition, v.witness) == verify_pauli_flow_pairwise(og, f)
+            seen += 1
+            failing += not v.ok
+    assert seen >= 1000 and failing >= 500, (seen, failing)

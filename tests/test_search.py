@@ -221,3 +221,13 @@ def test_flow_depth_examples():
     order3 = PartialOrder.from_pairs(4, [(0, 2), (1, 2)])
     f3 = CorrectionFlow({0: 0, 1: 0, 2: 0}, order3)
     assert flow_depth(f3) == 1
+
+
+def test_flow_depth_of_long_chains():
+    """No recursion: a chain far longer than the interpreter's stack limit."""
+    chain = CorrectionFlow(dict.fromkeys(range(3000), 0),
+                           PartialOrder.chain(3000, range(3000)))
+    assert flow_depth(chain) == 2999
+    falling = CorrectionFlow(dict.fromkeys(range(1200), 0),
+                             PartialOrder.chain(1200, range(1199, -1, -1)))
+    assert flow_depth(falling) == 1199
