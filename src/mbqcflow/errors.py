@@ -5,6 +5,14 @@ class ContractError(ValueError):
     """A precondition of an operation was violated by the caller."""
 
 
+class CycleError(ValueError):
+    """An order relation with a cycle; `vertex` is its lowest vertex on one."""
+
+    def __init__(self, vertex: int):
+        super().__init__(f"order has a cycle through vertex {vertex}")
+        self.vertex = vertex
+
+
 class CapacityError(RuntimeError):
     """An input exceeds a documented brute-force size bound."""
 

@@ -9,10 +9,10 @@ purpose so that tests can confront them on exhaustively enumerated instances.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .errors import ContractError, FormatError
+from .errors import ContractError, CycleError, FormatError
 from .gf2 import mask_of, members
 from .graphs import (MeasurementLabel, OpenGraph, VertexNames, expect_json,
                      odd_neighborhood, read_document)
@@ -25,10 +25,13 @@ class PartialOrder:
     succ[u] is the bitmask of vertices v with u < v; `pred` is its transpose.
     The constructor checks, in one pass, that u is never in succ[u] and that
     succ[v] is a subset of succ[u] for every v in succ[u].  Rows closed by
-    construction skip it (`_closed`): `chain` (a row holds the later vertices;
-    a repeat is rejected), `from_pairs` and the order joins (`_close`, a
-    Warshall closure: a cycle puts u in succ[u] and is rejected), and the
-    layered order of `find_pauli_flow` (a row holds every earlier round).
+    construction skip it (`_closed`): `chain`, the layered order of
+    `find_pauli_flow`, and `from_pairs` and the order joins via `_close`, a
+    depth-first closure that closes each row once, skips covered successors
+    and takes the lowest or highest pending one, whichever has the larger
+    row, so chains close in linear time either way (`minimal` walks alike).
+    A cycle's frames fold into one, so rows are the reachable sets of
+    Warshall's closure and CycleError names its vertex, the lowest u in u's row.
     """
 
     n: int
@@ -41,7 +44,7 @@ class PartialOrder:
             if row >> self.n:
                 raise ValueError(f"succ row {u} references vertices >= n")
             if (row >> u) & 1:
-                raise ValueError(f"order has a cycle through vertex {u}")
+                raise CycleError(u)
             if any(self.succ[v] & ~row for v in members(row)):
                 raise ValueError("succ relation is not transitively closed")
 
@@ -53,14 +56,38 @@ class PartialOrder:
 
     @classmethod
     def _close(cls, n: int, rows: List[int]) -> "PartialOrder":
-        for k in range(n):
-            if rows[k]:
-                bit, row_k = 1 << k, rows[k]
-                rows = [row | row_k if row & bit else row for row in rows]
-        for u, row in enumerate(rows):
-            if (row >> u) & 1:
-                raise ValueError(f"order has a cycle through vertex {u}")
-        return cls._closed(n, tuple(rows))
+        closed = [None if row else 0 for row in rows]  # rows without successors are closed
+        for root in range(n - 1, -1, -1):
+            stack, active = [[1 << root, rows[root], 0]], 1 << root  # [vertices, pending, row]
+            while closed[root] is None:
+                group, todo, acc = stack[-1]
+                while todo:
+                    lo, hi = (todo & -todo).bit_length() - 1, todo.bit_length() - 1
+                    if closed[lo] is not None and closed[hi] is not None:
+                        w = lo if closed[lo] >= closed[hi] else hi
+                        acc |= closed[w] | 1 << w
+                        todo &= ~acc
+                        continue
+                    w = lo if closed[lo] is None else hi
+                    stack[-1][1:] = todo, acc
+                    if (active >> w) & 1:  # a cycle: fold the frames down to w's into one
+                        while not (stack[-1][0] >> w) & 1:
+                            top = stack.pop()
+                            stack[-1] = [a | b for a, b in zip(stack[-1], top)]
+                        group, todo, acc = stack[-1]
+                        stack[-1] = [group, todo & ~(acc | group), acc | group]
+                    else:
+                        stack.append([1 << w, rows[w], 0])
+                        active |= 1 << w
+                    break
+                else:
+                    for u in members(group):
+                        closed[u] = acc
+                    active &= ~group
+                    stack.pop()
+        for u in filter(lambda u: (closed[u] >> u) & 1, range(n)):
+            raise CycleError(u)  # the lowest vertex in its own row
+        return cls._closed(n, tuple(closed))
 
     @classmethod
     def from_pairs(cls, n: int, pairs: Iterable[Tuple[int, int]]) -> "PartialOrder":
@@ -78,7 +105,7 @@ class PartialOrder:
         later = 0
         for u in reversed(sequence):
             if (later >> u) & 1:
-                raise ValueError(f"order has a cycle through vertex {u}")
+                raise CycleError(u)
             succ[u] = later
             later |= 1 << u
         return cls._closed(n, tuple(succ))
@@ -96,10 +123,6 @@ class PartialOrder:
     def less(self, a: int, b: int) -> bool:
         return bool((self.succ[a] >> b) & 1)
 
-    def pred_mask(self, u: int) -> int:
-        """Bitmask of v with v < u."""
-        return self.pred[u]
-
     def pairs(self) -> List[Tuple[int, int]]:
         return [(a, b) for a in range(self.n) for b in members(self.succ[a])]
 
@@ -108,13 +131,14 @@ class PartialOrder:
                    for a in members(domain))
 
     def minimal(self, mask: int) -> int:
-        """The minimal vertices of `mask`, walked lowest id first: a vertex
-        above a walked one is skipped, and every minimal one is walked."""
-        above, rest = 0, mask
+        """The minimal vertices of `mask`, found by any walk order: walk the
+        lowest or highest vertex left, whichever has the larger row, skip all above."""
+        succ, above, rest = self.succ, 0, mask
         while rest:
-            low = rest & -rest
-            above |= self.succ[low.bit_length() - 1]
-            rest &= ~(above | low)
+            lo, hi = (rest & -rest).bit_length() - 1, rest.bit_length() - 1
+            w = lo if succ[lo] >= succ[hi] else hi
+            above |= succ[w]
+            rest &= ~(above | 1 << w)
         return mask & ~above
 
 
@@ -272,21 +296,24 @@ def input_label_constraint(og: OpenGraph) -> Verdict:
 
 
 def flow_to_json(f: CorrectionFlow, names: Tuple[str, ...]) -> dict:
+    """The order is written as its covering pairs (u, v), v minimal in succ[u]."""
+    order, cover = f.order, cache(f.order.minimal)  # rows repeat along layered orders
     return {
         "p": {names[u]: [names[v] for v in members(c)] for u, c in sorted(f.p.items())},
-        "order": [[names[a], names[b]] for a, b in f.order.pairs()],
+        "order": [[names[u], names[v]] for u in range(order.n)
+                  for v in members(cover(order.succ[u]))],
     }
 
 
 def flow_from_json(doc: Union[str, dict], og: OpenGraph) -> CorrectionFlow:
+    """The order may list any pairs whose closure is the order."""
     doc = read_document(doc, "flow", ("p",))
     names = VertexNames(og.names)
     p = {names.id(u): names.mask(targets, f"p({u})")
          for u, targets in expect_json(doc["p"], dict, "p").items()}
-    pairs = [names.ids(pair, "order pair", 2)
-             for pair in expect_json(doc.get("order", []), list, "order")]
+    pairs = names.pairs(doc.get("order", []), "order", "order pair")
     try:
         order = PartialOrder.from_pairs(og.n, pairs)
-    except ValueError as e:
-        raise FormatError(str(e)) from e
+    except CycleError as e:
+        raise FormatError(f"order has a cycle through vertex {og.names[e.vertex]}") from e
     return CorrectionFlow(p, order)

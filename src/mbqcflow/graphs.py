@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from collections import deque
+from contextlib import suppress
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, List, Mapping, Optional, Sequence, Tuple, Union
@@ -272,6 +273,14 @@ class VertexNames:
             raise FormatError(f"{what} must name {size} vertices")
         return [self.id(name) for name in names]
 
+    def pairs(self, value, what: str, item: str) -> List[Tuple[int, int]]:
+        """Ids of an array of name pairs in one pass, else the per-name errors."""
+        pairs, index = expect_json(value, list, what), self.index
+        with suppress(KeyError, TypeError, ValueError):
+            if all(type(pair) is list for pair in pairs):
+                return [(index[a], index[b]) for a, b in pairs]
+        return [self.ids(pair, item, 2) for pair in pairs]  # raises
+
     def mask(self, value, what: str) -> int:
         return mask_of(self.ids(value, what))
 
@@ -279,7 +288,7 @@ class VertexNames:
 def open_graph_from_json(doc: Union[str, dict]) -> OpenGraph:
     doc = read_document(doc, "open-graph", ("vertices", "edges", "inputs", "outputs"))
     names = VertexNames(doc["vertices"])
-    edges = [names.ids(e, "edge", 2) for e in expect_json(doc["edges"], list, "edges")]
+    edges = names.pairs(doc["edges"], "edges", "edge")
     labels = {names.id(v): MeasurementLabel.from_string(s)
               for v, s in expect_json(doc.get("labels", {}), dict, "labels").items()}
     try:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import ContractError, PatternSyntaxError, RewriteError
@@ -238,14 +239,18 @@ class Mbqc:
             raise ValueError("angles must be defined exactly on the measured vertices")
         if set(self.strategy.x) != set(self.og.labels) or set(self.strategy.z) != set(self.og.labels):
             raise ValueError("strategy must be defined exactly on the measured vertices")
-        strategy_order(self.strategy, self.og)  # raises when not extensive
+        self.induced_order  # raises when not extensive
+
+    @cached_property
+    def induced_order(self) -> PartialOrder:  # strategy_order, built once
+        return strategy_order(self.strategy, self.og)
 
 
 def measurement_order(m: Mbqc, order: Optional[PartialOrder] = None) -> PartialOrder:
     """The strategy-induced order joined with `order` restricted to the
     measured vertices (e.g. the flow order the corrections were synthesized
     for), closed once.  Raises ContractError when they are not jointly acyclic."""
-    induced = strategy_order(m.strategy, m.og)
+    induced = m.induced_order
     if order is None:
         return induced
     measured = m.og.measured

@@ -67,14 +67,15 @@ def linearize(order: PartialOrder, domain: int) -> List[int]:
     """The lexicographically smallest linear extension of `order` on the
     vertices of `domain` (bitmask): each step places the smallest id whose
     predecessors in `domain` are all placed; placing u frees only vertices
-    of succ[u]."""
-    ready, out = order.minimal(domain), []
+    of succ[u], and none while they all lie above the next ready vertex."""
+    ready, out, succ = order.minimal(domain), [], order.succ
     while ready:
         pick = (ready & -ready).bit_length() - 1
         out.append(pick)
         ready &= ~(1 << pick)
-        if order.succ[pick] & domain:
-            ready = order.minimal(ready | order.succ[pick] & domain)
+        freed = succ[pick] & domain
+        if freed and (not ready or freed & ~succ[(ready & -ready).bit_length() - 1]):
+            ready = order.minimal(ready | freed)
     return out
 
 

@@ -259,7 +259,14 @@ MALFORMED = {
     "pattern-pauli-radians-robust": (["check", "pat.json"], {"pat.json": _pattern_doc(
         {"type": "M", "qubit": "a", "label": "X", "angle": {"radians": 1.0}})}),
     "generate-empty-label-pool": (["generate", "--n", "3", "--labels", ","], {}),
+    "flow-order-cycle": (["verify-flow", "abcd.json", "flow.json"], {
+        "abcd.json": open_graph_to_json(OpenGraph(
+            Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)]), 0, 0b1000,
+            dict.fromkeys(range(3), MeasurementLabel.XY), names=("a", "b", "c", "d"))),
+        "flow.json": {"p": {"a": ["b"], "b": ["c"], "c": ["d"]},
+                      "order": [["c", "b"], ["b", "c"]]}}),
 }
+ERROR_NAMES = {"flow-order-cycle": "error: order has a cycle through vertex b"}
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
@@ -279,3 +286,4 @@ def test_malformed_input_exits_2_with_one_error_line(tmp_path, case):
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+    assert lines[0].startswith(ERROR_NAMES.get(case, "error: ")), proc.stderr

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from importlib import resources
 
-from mbqcflow.errors import ContractError, FormatError
+from mbqcflow.errors import ContractError, CycleError, FormatError
 from mbqcflow.flows import (CorrectionFlow, PartialOrder, flow_from_json,
                             flow_to_json, input_label_constraint,
                             verify_causal_flow, verify_gflow,
@@ -34,12 +34,39 @@ def orders(draw):
                                        for pair in pairs if pair[0] != pair[1]])
 
 
+def warshall(n, rows):
+    """Reference closure: Warshall's n passes, then the lowest vertex in its
+    own closed row names the cycle."""
+    rows = list(rows)
+    for k in range(n):
+        for u in range(n):
+            if (rows[u] >> k) & 1:
+                rows[u] |= rows[k]
+    for u, row in enumerate(rows):
+        if (row >> u) & 1:
+            raise ValueError(f"order has a cycle through vertex {u}")
+    return tuple(rows)
+
+
+@st.composite
+def relations(draw):
+    """A relation as successor rows, mostly oriented low to high id so that
+    both acyclic and cyclic ones (self-loops included) are common."""
+    n = draw(st.integers(1, 9))
+    rows = [0] * n
+    for a, b, flip in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                                              st.integers(0, 3)), max_size=2 * n)):
+        a, b = (a, b) if a <= b or not flip else (b, a)
+        rows[a] |= 1 << b
+    return n, rows
+
+
 class TestPartialOrder:
     def test_from_pairs_closes_transitively(self):
         o = PartialOrder.from_pairs(3, [(0, 1), (1, 2)])
         assert o.less(0, 2)
         assert not o.less(2, 0)
-        assert o.pred_mask(2) == 0b011
+        assert o.pred[2] == 0b011
         assert (0, 2) in o.pairs()
 
     def test_cycle_rejected(self):
@@ -85,7 +112,7 @@ class TestPartialOrder:
     def test_pred_is_the_transpose_of_succ(self, o):
         n = o.n
         for u in range(n):
-            assert o.pred[u] == o.pred_mask(u) == sum(
+            assert o.pred[u] == sum(
                 1 << v for v in range(n) if (o.succ[v] >> u) & 1)
 
     @settings(max_examples=200, deadline=None)
@@ -97,6 +124,37 @@ class TestPartialOrder:
             a == b or o.less(a, b) or o.less(b, a) for a in vs for b in vs)
         assert members(o.minimal(domain)) == [
             b for b in vs if not any(o.less(a, b) for a in vs)]
+
+    @settings(max_examples=500, deadline=None)
+    @given(relations())
+    def test_closure_matches_warshall(self, relation):
+        """Same closed rows as Warshall's closure, or the same cycle message,
+        on relations drawn with cycles and self-loops."""
+        n, rows = relation
+        try:
+            expected = warshall(n, rows)
+        except ValueError as e:
+            with pytest.raises(CycleError, match=f"^{e}$"):
+                PartialOrder._close(n, list(rows))
+        else:
+            assert PartialOrder._close(n, list(rows)).succ == expected
+
+    @pytest.mark.parametrize("order", [range(3000), range(2999, -1, -1),
+                                       random.Random(3).sample(range(3000), 3000)],
+                             ids=["rising", "falling", "shuffled"])
+    def test_closure_of_long_chains(self, order):
+        """Closed rows and cover rows of 3000-chains close to the chain, with
+        no recursion, whichever way the ids run along it."""
+        order = list(order)
+        chain = PartialOrder.chain(3000, order)
+        assert PartialOrder._close(3000, list(chain.succ)) == chain
+        cover = [0] * 3000
+        for a, b in zip(order, order[1:]):
+            cover[a] = 1 << b
+        assert PartialOrder._close(3000, cover) == chain
+        cover[order[-1]] = 1 << order[1500]  # closes a cycle through order[1500:]
+        with pytest.raises(CycleError, match=f"vertex {min(order[1500:])}$"):
+            PartialOrder._close(3000, cover)
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)),
@@ -266,13 +324,54 @@ def test_flow_json_roundtrip():
         flow_from_json("{bad", og)
 
 
+def test_flow_json_cycle_names_the_vertex():
+    og = OpenGraph(Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)]), 0, 0b1000,
+                   dict.fromkeys(range(3), MeasurementLabel.XY), names=("a", "b", "c", "d"))
+    doc = {"p": {"a": ["b"], "b": ["c"], "c": ["d"]}, "order": [["c", "b"], ["b", "c"]]}
+    with pytest.raises(FormatError, match="^order has a cycle through vertex b$"):
+        flow_from_json(doc, og)
+
+
+def flow_documents():
+    """Found flows of random instances and of grids, with their open graphs."""
+    for seed in range(60):
+        og = generate_instance(InstanceSpec(n=3 + seed % 8, seed=seed, n_inputs=seed % 3,
+                                            n_outputs=1 + seed % 2))
+        found = find_pauli_flow(og)
+        if found.found:
+            yield og, found.flow
+    for rows, cols in [(4, 8), (6, 12)]:
+        og = grid(rows, cols, 1)
+        yield og, find_pauli_flow(og).flow
+
+
+def test_flow_json_writes_the_cover_relation():
+    """The emitted pairs close to the order, and none is implied by two others."""
+    seen = 0
+    for og, f in flow_documents():
+        pairs = [(og.names.index(a), og.names.index(b)) for a, b in flow_to_json(f, og.names)["order"]]
+        assert pairs == sorted(pairs)
+        assert PartialOrder.from_pairs(og.n, pairs) == f.order
+        assert not [(a, b) for a, b in pairs if f.order.succ[a] & f.order.pred[b]]
+        seen += len(pairs)
+    assert seen > 400
+
+
+def test_full_pair_documents_still_read():
+    """A document listing every pair of the order reads to the same flow."""
+    for og, f in flow_documents():
+        doc = flow_to_json(f, og.names)
+        doc["order"] = [[og.names[a], og.names[b]] for a, b in f.order.pairs()]
+        assert flow_from_json(doc, og) == f == flow_from_json(flow_to_json(f, og.names), og)
+
+
 def verify_pauli_flow_pairwise(og, f):
     """Reference: the per-axis conditions checked pair by pair, v ascending."""
     k_of = {"X": odd_neighborhood, "Y": closed_odd_neighborhood,
             "Z": lambda g, c: c}
     vs = sorted(f.p)
     for u in vs:
-        pred = f.order.pred_mask(u)
+        pred = f.order.pred[u]
         for axis in sorted(og.labels[u].axes):
             k = k_of[axis]
             if not (k(og.graph, f.p[u]) >> u) & 1:

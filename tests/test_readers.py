@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from mbqcflow.errors import FormatError
 from mbqcflow.flows import flow_from_json
-from mbqcflow.graphs import (Graph, MeasurementLabel, OpenGraph,
-                             open_graph_from_json)
+from mbqcflow.graphs import (Graph, MeasurementLabel, OpenGraph, VertexNames,
+                             expect_json, open_graph_from_json)
 from mbqcflow.patterns import parse, pattern_from_json
 from mbqcflow.synthesis import strategy_from_json
 
@@ -93,6 +93,30 @@ def test_json_documents_raise_only_format_error(kind, data):
 def test_pattern_commands_raise_only_format_error(command):
     _read("pattern", {"vertices": ["a", "b", "c"], "input": ["a"], "output": ["c"],
                       "commands": [command]})
+
+
+def _outcome(read):
+    try:
+        return [tuple(pair) for pair in read()]
+    except FormatError as e:
+        return str(e)
+
+
+PAIR_LIKE = (st.lists(NAME | st.sampled_from(["zz", "ab"]), max_size=3)
+             | st.sampled_from(["ab", "bc"])  # two names when unpacked, but no array
+             | st.dictionaries(NAME, st.none(), min_size=2, max_size=2))
+
+
+@settings(max_examples=500, deadline=None)
+@given(near(st.lists(near(PAIR_LIKE), max_size=4)))
+def test_bulk_pairs_match_the_per_pair_path(value):
+    """The same id pairs, or the same error message, as resolving every pair
+    name by name."""
+    names = VertexNames(["a", "b", "c"])
+    per_pair = _outcome(lambda: [names.ids(pair, "edge", 2)
+                                 for pair in expect_json(value, list, "edges")])
+    assert _outcome(lambda: names.pairs(value, "edges", "edge")) == per_pair
+    assert _outcome(lambda: names.pairs(json.loads(json.dumps(value)), "edges", "edge")) == per_pair
 
 
 def test_over_long_json_integer_is_a_format_error():

@@ -6,12 +6,14 @@ import random
 import pytest
 
 from mbqcflow.errors import CapacityError
-from mbqcflow.flows import (CorrectionFlow, PartialOrder, verify_pauli_flow)
+from mbqcflow.flows import (CorrectionFlow, PartialOrder, flow_to_json,
+                            verify_pauli_flow)
 from mbqcflow.gf2 import mask_of, members, solve
 from mbqcflow.graphs import Graph, MeasurementLabel, OpenGraph
 from mbqcflow.instances import InstanceSpec, generate_instance
 from mbqcflow.search import (find_pauli_flow, find_pauli_flow_bruteforce,
                              flow_depth)
+from mbqcflow.synthesis import linearize
 
 
 def exhaustive_flow_exists(og):
@@ -224,10 +226,16 @@ def test_flow_depth_examples():
 
 
 def test_flow_depth_of_long_chains():
-    """No recursion: a chain far longer than the interpreter's stack limit."""
+    """No recursion: a chain far longer than the interpreter's stack limit,
+    with ids rising or falling along it."""
     chain = CorrectionFlow(dict.fromkeys(range(3000), 0),
                            PartialOrder.chain(3000, range(3000)))
     assert flow_depth(chain) == 2999
-    falling = CorrectionFlow(dict.fromkeys(range(1200), 0),
-                             PartialOrder.chain(1200, range(1199, -1, -1)))
-    assert flow_depth(falling) == 1199
+    falling = CorrectionFlow(dict.fromkeys(range(3000), 0),
+                             PartialOrder.chain(3000, range(2999, -1, -1)))
+    assert flow_depth(falling) == 2999
+    for f, order in [(chain, list(range(3000))), (falling, list(range(2999, -1, -1)))]:
+        assert linearize(f.order, (1 << 3000) - 1) == order
+        names = tuple(map(str, range(3000)))
+        assert flow_to_json(f, names)["order"] == [[names[a], names[b]]
+                                                   for a, b in sorted(zip(order, order[1:]))]
