@@ -170,24 +170,21 @@ def cmd_check(pattern_file, level, samples, seed, tolerance, as_json):
     try:
         if level == "det":
             ok = check_deterministic(pat, tol=tolerance, seed=seed)
+        elif level == "strong":
+            real = all(c.label.is_real for c in pat.commands if isinstance(c, Measure))
+            ok = check_strong_deterministic(pat, tol=tolerance,
+                                            real_inputs=real, seed=seed)
+            doc["real_inputs"] = real
         else:
-            m = None
             try:
                 m = of_pattern(standardize(pat))
             except (ContractError, RewriteError, ValueError) as e:
-                if level == "robust":
-                    _fail_parse(f"cannot recover the graph form: {e}")
-            if level == "strong":
-                real = bool(m and m.og.is_real)
-                ok = check_strong_deterministic(pat, tol=tolerance,
-                                                real_inputs=real, seed=seed)
-                doc["real_inputs"] = real
-            else:
-                report = check_robust_deterministic(
-                    m, angle_samples=samples, seed=seed, tol=tolerance,
-                    order=_pattern_measurement_order(pat))
-                ok = report["ok"]
-                doc.update(report)
+                _fail_parse(f"cannot recover the graph form: {e}")
+            report = check_robust_deterministic(
+                m, angle_samples=samples, seed=seed, tol=tolerance,
+                order=_pattern_measurement_order(pat))
+            ok = report["ok"]
+            doc.update(report)
     except (CapacityError, ContractError) as e:
         _fail_parse(str(e))
     doc["ok"] = ok
@@ -220,19 +217,18 @@ def cmd_parallelize(graph_file, angle_opts, as_json, output):
         # The dropped corrections commute with the measurements they target,
         # so the pattern is sound in any order; only truncations care.
         order = None
-    off_output = [u for u in strategy.x
-                  if (strategy.x[u] | strategy.z[u]) & ~og.outputs]
-    depth = 1 if not off_output else None
+    # parallelize checked the normal-form equations, which put every x'(u)
+    # and z'(u) on outputs: no correction targets a measured vertex, depth 1.
     m = Mbqc(og, angles, strategy)
     text = print_pattern(to_pattern(m, order))
     if as_json:
-        click.echo(json.dumps({"depth": depth, "pattern": text}, indent=2))
+        click.echo(json.dumps({"depth": 1, "pattern": text}, indent=2))
         if output:
             _emit(text, output)
     else:
         _emit(text, output)
-        click.echo(f"measurement depth: {depth}", err=True)
-    sys.exit(0 if depth == 1 else 1)
+        click.echo("measurement depth: 1", err=True)
+    sys.exit(0)
 
 
 @main.command("counterexamples")

@@ -47,15 +47,12 @@ class MeasurementLabel(Enum):
     @classmethod
     def from_string(cls, s: str) -> "MeasurementLabel":
         key = "".join(sorted(s.upper())) if isinstance(s, str) else None
-        table = {"X": cls.X, "Y": cls.Y, "Z": cls.Z,
-                 "XY": cls.XY, "YZ": cls.YZ, "XZ": cls.XZ}
-        if key not in table:
+        if key not in cls.__members__:
             raise FormatError(f"unknown measurement label {s!r}")
-        return table[key]
+        return cls.__members__[key]
 
     def to_string(self) -> str:
-        order = {"X": 0, "Y": 1, "Z": 2}
-        return "".join(sorted(self.value, key=order.__getitem__))
+        return self.name
 
 
 @dataclass(frozen=True)

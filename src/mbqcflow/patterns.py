@@ -180,6 +180,12 @@ def validate(pat: Pattern) -> PatternVerdict:
     return PatternVerdict(True)
 
 
+def _require_valid(pat: Pattern) -> None:
+    verdict = validate(pat)
+    if not verdict:
+        raise ContractError(f"pattern is not valid: {verdict.message}")
+
+
 def standardize(pat: Pattern) -> Pattern:
     """Reorder into creations, entanglers, then measurements/corrections.
 
@@ -188,9 +194,7 @@ def standardize(pat: Pattern) -> Pattern:
     RewriteError.  The result is valid and, branch by branch, implements the
     same linear map as the input.
     """
-    verdict = validate(pat)
-    if not verdict:
-        raise ContractError(f"pattern is not valid: {verdict.message}")
+    _require_valid(pat)
     news: List[Command] = []
     entangles: List[Command] = []
     rest: List[Command] = []
@@ -228,17 +232,25 @@ def is_standard(pat: Pattern) -> bool:
 
 @dataclass(frozen=True)
 class Mbqc:
-    """Graph-based representation: open graph, angles and correction maps."""
+    """Open graph, angles and correction maps; the constructor checks the whole
+    MBQC contract, so every Mbqc compiles to a valid pattern."""
 
     og: OpenGraph
     angles: Mapping[int, Angle]
     strategy: CorrectionStrategy
 
     def __post_init__(self):
-        if set(self.angles) != set(self.og.labels):
+        og = self.og
+        if set(self.angles) != set(og.labels):
             raise ValueError("angles must be defined exactly on the measured vertices")
-        if set(self.strategy.x) != set(self.og.labels) or set(self.strategy.z) != set(self.og.labels):
+        if set(self.strategy.x) != set(og.labels) or set(self.strategy.z) != set(og.labels):
             raise ValueError("strategy must be defined exactly on the measured vertices")
+        for u, label in og.labels.items():
+            if self.strategy.targets(u) >> og.n:
+                raise ContractError(f"corrections of vertex {og.names[u]} leave the graph")
+            if label.is_pauli and not self.angles[u].is_zero_or_pi:
+                raise ContractError(
+                    f"Pauli-measured vertex {og.names[u]} needs an exact angle 0 or pi")
         self.induced_order  # raises when not extensive
 
     @cached_property
@@ -280,12 +292,9 @@ def to_pattern(m: Mbqc, order: Optional[PartialOrder] = None) -> Pattern:
 
 
 def _standard_pattern(m: Mbqc, induced: PartialOrder) -> Pattern:
-    """to_pattern(m, order) given induced = measurement_order(m, order)."""
+    """to_pattern(m, order) given induced = measurement_order(m, order);
+    valid for every Mbqc (see check_robust_deterministic)."""
     og = m.og
-    for u, angle in m.angles.items():
-        if og.labels[u].is_pauli and not angle.is_zero_or_pi:
-            raise ContractError(
-                f"Pauli-measured vertex {og.names[u]} needs an exact angle 0 or pi")
     cmds: List[Command] = []
     for u in members(og.non_inputs):
         cmds.append(New(u))
@@ -302,9 +311,7 @@ def _standard_pattern(m: Mbqc, induced: PartialOrder) -> Pattern:
 
 def of_pattern(pat: Pattern) -> Mbqc:
     """Recover the septuple from a valid standard-form pattern."""
-    verdict = validate(pat)
-    if not verdict:
-        raise ContractError(f"pattern is not valid: {verdict.message}")
+    _require_valid(pat)
     if not is_standard(pat):
         raise ContractError("pattern is not in standard form; standardize it first")
     edges = []

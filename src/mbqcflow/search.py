@@ -152,17 +152,12 @@ def find_pauli_flow(og: OpenGraph) -> FlowSearchResult:
     solution of u's system (free variables zero) at every size.  `stats`
     counts rounds and systems decided (the sum of |R| over the rounds).
     """
-    ic = members(og.non_inputs)
-    ncols = len(ic)
-    col_of = {v: i for i, v in enumerate(ic)}
+    ncols = og.n  # vertex-id columns: the empty input columns leave p unchanged
     adjacency = og.graph.adjacency
-
-    def compress(row_mask: int) -> int:
-        return mask_of(col_of[v] for v in members(row_mask & og.non_inputs))
 
     def axis_rows(u: int) -> List[int]:
         sets = {"X": adjacency[u], "Y": adjacency[u] ^ (1 << u), "Z": 1 << u}
-        return [compress(sets[a]) for a in "XYZ" if a in og.labels[u].axes]
+        return [sets[a] & og.non_inputs for a in "XYZ" if a in og.labels[u].axes]
 
     rows_of = {u: axis_rows(u) for u in og.labels}
     remaining = sorted(og.labels)
@@ -178,7 +173,7 @@ def find_pauli_flow(og: OpenGraph) -> FlowSearchResult:
         p = [0] * len(remaining)
         for col, row in pivots.items():
             for k in members((row >> ncols) & ~stuck):
-                p[k] |= 1 << ic[col]
+                p[k] |= 1 << col
         layer = {u: p[k] for k, u in enumerate(remaining) if not stuck >> k & 1}
         if not layer:
             return FlowSearchResult("none", stats=stats)

@@ -5,12 +5,12 @@ phase mod 4.  Stabilizer states are n independent commuting Hermitian
 generators; measurements update the generator list exactly (no sampling), so
 every outcome branch can be explored.
 
-A state is checked once, by its public constructor.  Updates build their
-results unchecked (`_evolve`): each keeps n independent commuting Hermitian
-generators on the register (Aaronson & Gottesman 2004).  `apply_pauli` flips
-signs, `reorder_generators` multiplies and swaps, and `collapse` multiplies
-the generators anticommuting with m by the pivot (so they commute with m and
-stay Hermitian) and puts +-m, checked by `measure_outcome`, in its place.
+A state is checked once, by its public constructor.  Graph states and
+updates are built unchecked (`_unchecked`): each has n independent commuting
+Hermitian generators (Aaronson & Gottesman 2004).  `apply_pauli` flips signs,
+`reorder_generators` multiplies and swaps, and `collapse` multiplies the
+generators anticommuting with m by the pivot (so they commute with m and stay
+Hermitian) and puts +-m, checked by `measure_outcome`, in its place.
 
 The probe decides all outcome branches of a Pauli run in one pass.  Which
 generators anticommute with an observable or a correction depends only on
@@ -127,10 +127,11 @@ class StabilizerState:
         if rank(g.x | (g.z << self.n) for g in self.generators) != self.n:
             raise ContractError("generators must be independent")
 
-    def _evolve(self, generators: List[PauliOperator]) -> "StabilizerState":
-        """Same register, generators from a valid update: not re-checked."""
-        out = object.__new__(StabilizerState)
-        out.n, out.generators = self.n, generators
+    @classmethod
+    def _unchecked(cls, n: int, generators: List[PauliOperator]) -> "StabilizerState":
+        """A state whose generators are valid by construction: not checked."""
+        out = object.__new__(cls)
+        out.n, out.generators = n, generators
         return out
 
 
@@ -151,7 +152,9 @@ def initial_stabilizers(og: OpenGraph, zero_inputs: int = 0) -> StabilizerState:
     """Graph state over og with the inputs in `zero_inputs` prepared in |0>.
 
     Qubits in `zero_inputs` (a subset of the inputs) keep the generator Z_u;
-    every other qubit contributes X_u Z_{N(u)}.
+    every other qubit contributes X_u Z_{N(u)}.  Unchecked, as they are
+    Hermitian (no self-loops), commute (N is symmetric; only X_u Z_{N(u)} has
+    X on u) and are independent (a product's X part names its X-type factors).
     """
     if zero_inputs & ~og.inputs:
         raise ContractError("zero_inputs must be a subset of the inputs")
@@ -161,13 +164,13 @@ def initial_stabilizers(og: OpenGraph, zero_inputs: int = 0) -> StabilizerState:
             gens.append(PauliOperator(0, 0, 1 << u))
         else:
             gens.append(PauliOperator(0, 1 << u, og.graph.adjacency[u]))
-    return StabilizerState(og.n, gens)
+    return StabilizerState._unchecked(og.n, gens)
 
 
 def apply_pauli(state: StabilizerState, p: PauliOperator) -> StabilizerState:
     """Conjugate the state by a Pauli unitary: anticommuting generators flip sign."""
     gens = [g if g.commutes(p) else g.negate() for g in state.generators]
-    return state._evolve(gens)
+    return StabilizerState._unchecked(state.n, gens)
 
 
 def measure_outcome(state: StabilizerState, m: PauliOperator) -> Optional[int]:
@@ -202,7 +205,7 @@ def collapse(state: StabilizerState, m: PauliOperator, outcome: int) -> Stabiliz
     for i in anti[1:]:
         gens[i] = gens[i] * gens[pivot]
     gens[pivot] = m if outcome == 0 else m.negate()
-    return state._evolve(gens)
+    return StabilizerState._unchecked(state.n, gens)
 
 
 def reorder_generators(state: StabilizerState,
@@ -226,7 +229,7 @@ def reorder_generators(state: StabilizerState,
         for j in anti[1:]:
             gens[j] = gens[j] * gens[pivot]
         gens[i], gens[pivot] = gens[pivot], gens[i]
-    return state._evolve(gens)
+    return StabilizerState._unchecked(state.n, gens)
 
 
 def canonical_generators(generators: Sequence[PauliOperator], n: int) -> Tuple[PauliOperator, ...]:

@@ -146,9 +146,7 @@ def bipartite_normal_form(og: OpenGraph, g0: CorrectionFlow) -> Dict[int, int]:
     sides = bipartition(og.graph)
     if sides is None:
         raise ContractError("graph is not bipartite")
-    if not og.is_real:
-        raise ContractError("open graph has a non-real measurement label")
-    if not verify_real_pauli_flow(og, g0):
+    if not verify_real_pauli_flow(og, g0):  # raises on a non-real label
         raise ContractError("g0 is not a valid flow")
     side0, side1 = sides
     x_axis = og.axis_vertices("X")

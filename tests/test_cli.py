@@ -10,10 +10,11 @@ from click.testing import CliRunner
 
 import mbqcflow
 from mbqcflow.cli import main
+from mbqcflow.errors import RewriteError
 from mbqcflow.flows import flow_from_json
 from mbqcflow.graphs import (Graph, MeasurementLabel, OpenGraph,
                              open_graph_from_json, open_graph_to_json)
-from mbqcflow.patterns import parse
+from mbqcflow.patterns import parse, standardize
 
 
 @pytest.fixture
@@ -151,6 +152,20 @@ class TestCheck:
         assert res.exit_code == 0
         res = runner.invoke(main, ["check", str(p), "--level", "strong"])
         assert res.exit_code == 1
+
+    def test_strong_reads_realness_from_labels(self, runner, tmp_path):
+        # real labels, but E 2 3 follows a correction on 2, so the pattern
+        # has no standard form and no graph form to read realness from
+        text = ("input: 1\nN 2\nN 3\nE 1 2\nM 1 X 0\nX 2 s(1)\nE 2 3\n"
+                "M 2 X 0\nX 3 s(2)\n")
+        with pytest.raises(RewriteError):
+            standardize(parse(text))
+        p = tmp_path / "late.mcpat"
+        p.write_text(text)
+        res = runner.invoke(main, ["check", str(p), "--level", "strong", "--json"])
+        assert res.exit_code == 0, res.output
+        doc = json.loads(res.output)
+        assert doc["real_inputs"] is True and doc["ok"] is True
 
     def test_invalid_pattern_exit_2(self, runner, tmp_path):
         p = tmp_path / "bad.mcpat"

@@ -1,5 +1,7 @@
 """Open graphs, odd neighbourhoods and the JSON boundary."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -34,6 +36,11 @@ class TestMeasurementLabel:
         assert MeasurementLabel.from_string("yx") is MeasurementLabel.XY
         assert MeasurementLabel.from_string("ZX") is MeasurementLabel.XZ
         assert MeasurementLabel.from_string("z") is MeasurementLabel.Z
+        for lab in MeasurementLabel:
+            for order in itertools.permutations(lab.axes):
+                for cases in itertools.product((str.upper, str.lower), repeat=len(order)):
+                    text = "".join(case(a) for case, a in zip(cases, order))
+                    assert MeasurementLabel.from_string(text) is lab, text
 
     def test_from_string_rejects_garbage(self):
         with pytest.raises(FormatError):

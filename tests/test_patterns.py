@@ -15,8 +15,9 @@ from mbqcflow.patterns import (Angle, CorrectX, CorrectZ, Entangle, Mbqc,
                                pattern_to_json, print_pattern, standardize,
                                to_pattern, validate)
 from mbqcflow.flows import PartialOrder
+from mbqcflow.search import find_pauli_flow
 from mbqcflow.statevec import run_pattern
-from mbqcflow.synthesis import CorrectionStrategy
+from mbqcflow.synthesis import CorrectionStrategy, synthesize_corrections
 
 
 class TestAngle:
@@ -166,10 +167,20 @@ class TestMbqcConversion:
 
     def test_pauli_angle_must_be_exact(self):
         m = make_mbqc()
-        bad = Mbqc(m.og, {0: m.angles[0], 1: Angle.from_radians(0.0)},
-                   m.strategy)
-        with pytest.raises(ContractError):
-            to_pattern(bad)
+        with pytest.raises(ContractError, match="exact angle 0 or pi"):
+            Mbqc(m.og, {0: m.angles[0], 1: Angle.from_radians(0.0)}, m.strategy)
+
+    def test_correction_targets_must_lie_in_the_graph(self):
+        # path 0-1-2 with its synthesized corrections, plus target 7 on vertex 0
+        g = Graph.from_edges(3, [(0, 1), (1, 2)])
+        og = OpenGraph(g, 0b001, 0b100, {0: MeasurementLabel.X, 1: MeasurementLabel.X})
+        flow = find_pauli_flow(og).flow
+        strategy = synthesize_corrections(og, flow)
+        angles = {0: ZERO_ANGLE, 1: ZERO_ANGLE}
+        assert to_pattern(Mbqc(og, angles, strategy))
+        bad = CorrectionStrategy({**strategy.x, 0: strategy.x[0] | 1 << 7}, strategy.z)
+        with pytest.raises(ContractError, match="corrections of vertex 0 leave the graph"):
+            Mbqc(og, angles, bad)
 
     def test_of_pattern_requires_standard(self):
         pat = simple_pattern()

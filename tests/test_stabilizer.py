@@ -523,8 +523,20 @@ def random_hermitian(rng, n):
 
 
 class TestUpdatesKeepStatesValid:
-    """States derived by collapse, apply_pauli and reorder_generators skip
-    the constructor's checks; these tests re-run them on every such state."""
+    """Graph states and the states derived by collapse, apply_pauli and
+    reorder_generators skip the constructor's checks; these tests re-run
+    them on every such state."""
+
+    def test_graph_states(self):
+        rng = random.Random(5)
+        for _ in range(100):
+            n = rng.randint(1, 7)
+            g = Graph.from_edges(n, [(a, b) for a in range(n)
+                                     for b in range(a + 1, n) if rng.random() < 0.5])
+            inputs = rng.randrange(1 << n)
+            og = OpenGraph(g, inputs, 1 << (n - 1),
+                           {u: MeasurementLabel.X for u in range(n - 1)})
+            assert_valid_state(initial_stabilizers(og, inputs & rng.randrange(1 << n)))
 
     def test_random_update_sequences(self):
         rng = random.Random(11)

@@ -481,14 +481,14 @@ class TestRobustness:
 
     def test_inexact_pauli_angle_rejected_before_truncations(self):
         # truncation {0} fails without corrections, but the X-labelled
-        # vertex 1 at angle pi/2 is rejected before any truncation runs
+        # vertex 1 at angle pi/2 is rejected when the Mbqc is built, so no
+        # robustness check can start
         g = Graph.from_edges(3, [(0, 1), (1, 2)])
         og = OpenGraph(g, 0b001, 0b100,
                        {0: MeasurementLabel.XY, 1: MeasurementLabel.X})
         angles = {0: Angle.from_fraction(1, 4), 1: Angle.from_fraction(1, 2)}
-        m = Mbqc(og, angles, CorrectionStrategy({0: 0, 1: 0}, {0: 0, 1: 0}))
         with pytest.raises(ContractError, match="exact angle 0 or pi"):
-            check_robust_deterministic(m, angle_samples=1)
+            Mbqc(og, angles, CorrectionStrategy({0: 0, 1: 0}, {0: 0, 1: 0}))
 
     def test_conflicting_order_rejected(self):
         g = Graph.from_edges(3, [(0, 1), (1, 2)])
