@@ -163,11 +163,8 @@ def cmd_check(pattern_file, level, samples, seed, tolerance, as_json):
     """Determinism check of a pattern at the chosen strictness."""
     pat = _load(pattern_file,
                 pattern_from_json if pattern_file.endswith(".json") else parse)
-    verdict = validate(pat)
-    if not verdict:
-        _fail_parse(f"pattern is not valid: {verdict.message}")
     doc = {"level": level}
-    try:
+    try:  # det and strong validate the pattern first, raising ContractError
         if level == "det":
             ok = check_deterministic(pat, tol=tolerance, seed=seed)
         elif level == "strong":
@@ -176,6 +173,9 @@ def cmd_check(pattern_file, level, samples, seed, tolerance, as_json):
                                             real_inputs=real, seed=seed)
             doc["real_inputs"] = real
         else:
+            verdict = validate(pat)  # before standardize can word the error
+            if not verdict:
+                _fail_parse(f"pattern is not valid: {verdict.message}")
             try:
                 m = of_pattern(standardize(pat))
             except (ContractError, RewriteError, ValueError) as e:

@@ -37,18 +37,33 @@ order is the full one restricted to K; when the full smallest linear
 extension places some k2 in K, each smaller k1 in K with its predecessors
 (all in K) placed is available too, so K comes in its own smallest order.
 (2) It is valid: kept commands keep their order, each kept correction's
-signal is in K and measured before it, and exactly K is measured.  Each
-truncation runs once with all its angle assignments on the A axis: an
+signal is in K and measured before it, and exactly K is measured.
+
+The check runs the full pattern once, pausing before each `M` and at the
+end (`_abort_points`).  When K is the first j vertices of the measurement
+sequence, its truncation is the command prefix that ends just before the
+(j+1)-th `M`: the pattern puts every N and E first and each `M u` directly
+before the corrections u signals, so the commands before that point are
+the N and E commands and the M u of each u in K with its corrections, all
+of which `_truncate` keeps, and the commands after it are the M v of each
+v outside K with its corrections, all of which it drops.  The tensor at
+that pause is therefore, bit for bit, the one `_run` returns for the
+truncation.  Every other lowerset, which exists only when the order is not
+total, runs as a filter.  All angle assignments ride on the A axis: an
 assignment changes only the eigenvectors a measurement contracts with, so
-slice a is the run of the pattern built with assignment a.
+slice a is the run of the pattern built with assignment a.  One stream of
+assignments over all measured vertices serves every truncation, since a
+truncation contracts only with the rows of its own measured qubits; K is
+checked under that stream restricted to K.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -109,12 +124,13 @@ def eigenpair(label: MeasurementLabel, angle: Angle) -> Tuple[np.ndarray, np.nda
     return _fix_phase(plus), _fix_phase(minus)
 
 
-def _bases(pat: Pattern, assignments: Sequence[Dict[int, Angle]],
-           known: Dict[Tuple[MeasurementLabel, Angle], np.ndarray]) -> Dict[int, np.ndarray]:
+def _bases(pat: Pattern, assignments: Sequence[Dict[int, Angle]]) -> Dict[int, np.ndarray]:
     """(A, 2, 2) conjugated (+, -) eigenvector rows of every measured qubit,
     one slice per angle assignment (the pattern's own angles where the
-    assignment does not name the qubit).  `known` caches the rows of each
-    (label, angle) pair across calls."""
+    assignment does not name the qubit).  Each (label, angle) pair's rows
+    are computed once."""
+    known: Dict[Tuple[MeasurementLabel, Angle], np.ndarray] = {}
+
     def rows(label: MeasurementLabel, angle: Angle) -> np.ndarray:
         if (label, angle) not in known:
             known[label, angle] = np.array(eigenpair(label, angle)).conj()
@@ -126,16 +142,21 @@ def _bases(pat: Pattern, assignments: Sequence[Dict[int, Angle]],
     return {cmd.qubit: stack[i] for i, cmd in enumerate(measures)}
 
 
-def _run(pat: Pattern, columns: np.ndarray, bases: Dict[int, np.ndarray],
-         capacity: int, keep_measured: bool = False
-         ) -> Tuple[np.ndarray, List[int], Tuple[int, ...]]:
-    """Run a valid pattern on every branch and every angle assignment.
+def _abort_points(pat: Pattern, columns: np.ndarray, bases: Dict[int, np.ndarray],
+                  capacity: int, keep_measured: bool = False
+                  ) -> Iterator[Callable[[], Tuple[np.ndarray, List[int], Tuple[int, ...]]]]:
+    """Run a valid pattern on every branch and every angle assignment,
+    pausing before each `M` and at the end.
 
     `columns` is the 2^{|I|} x d input matrix and `bases[u]` the (A, 2, 2)
-    stack of conjugated eigenvector rows of measured qubit u.  Returns the
-    (A, 2^k, 2^q, d) tensor of branch maps, the measurement order and the q
-    sorted qubit ids of the rows.  With `keep_measured` each measured qubit
-    is tensored back on in its outcome's eigenstate.
+    stack of conjugated eigenvector rows of measured qubit u.  Each pause
+    yields a reader of the run so far: it returns the (A, 2^k, 2^q, d)
+    tensor of branch maps, the measurement order and the q sorted qubit ids
+    of the rows, as `_run` returns them for the pattern cut at that point.
+    Call it before resuming: `E`, `X` and `Z` write the tensor in place, and
+    the reader's tensor may be a view of it.  With `keep_measured` each
+    measured qubit is tensored back on in its outcome's eigenstate before
+    the last pause.
     """
     def require_width(width: int) -> None:
         if width > capacity:
@@ -156,6 +177,14 @@ def _run(pat: Pattern, columns: np.ndarray, bases: Dict[int, np.ndarray],
     def qubit_axis(q: int) -> int:
         return 1 + len(order) + live.index(q)
 
+    def read() -> Tuple[np.ndarray, List[int], Tuple[int, ...]]:
+        k = len(order)
+        keep = tuple(sorted(live))
+        perm = ([0] + list(range(k, 0, -1)) + [qubit_axis(q) for q in reversed(keep)]
+                + [t.ndim - 1])
+        return (np.transpose(t, perm).reshape((t.shape[0], 1 << k, 1 << len(keep), ncols)),
+                order, keep)
+
     for cmd in pat.commands:
         idx = [slice(None)] * t.ndim
         if isinstance(cmd, New):
@@ -167,6 +196,7 @@ def _run(pat: Pattern, columns: np.ndarray, bases: Dict[int, np.ndarray],
             idx[qubit_axis(cmd.a)] = idx[qubit_axis(cmd.b)] = 1
             t[tuple(idx)] *= -1
         elif isinstance(cmd, Measure):
+            yield read
             t = np.moveaxis(t, qubit_axis(cmd.qubit), 1)
             shape = t.shape
             t = bases[cmd.qubit] @ t.reshape(shape[0], 2, -1)
@@ -193,12 +223,16 @@ def _run(pat: Pattern, columns: np.ndarray, bases: Dict[int, np.ndarray],
             shape[outcome_axis(u)] = shape[1 + len(order)] = 2
             t = np.expand_dims(t, 1 + len(order)) * bases[u].conj().reshape(shape)
             live.insert(0, u)
-    k = len(order)
-    keep = tuple(sorted(live))
-    perm = ([0] + list(range(k, 0, -1)) + [qubit_axis(q) for q in reversed(keep)]
-            + [t.ndim - 1])
-    t = np.transpose(t, perm).reshape((t.shape[0], 1 << k, 1 << len(keep), ncols))
-    return t, order, keep
+    yield read
+
+
+def _run(pat: Pattern, columns: np.ndarray, bases: Dict[int, np.ndarray],
+         capacity: int, keep_measured: bool = False
+         ) -> Tuple[np.ndarray, List[int], Tuple[int, ...]]:
+    """The whole run of `_abort_points`: its last reader, read."""
+    for read in _abort_points(pat, columns, bases, capacity, keep_measured):
+        pass
+    return read()
 
 
 @dataclass
@@ -219,7 +253,7 @@ class Branch:
 def _branch_tensor(pat: Pattern, columns: np.ndarray, capacity: int) -> np.ndarray:
     """(2^k, 2^{|O|}, cols) branch maps of a pattern at its own angles."""
     _require_valid(pat)
-    return _run(pat, columns, _bases(pat, [{}], {}), capacity)[0][0]
+    return _run(pat, columns, _bases(pat, [{}]), capacity)[0][0]
 
 
 def run_pattern(
@@ -248,7 +282,7 @@ def run_pattern(
             raise ContractError(
                 f"input state must have 2**{pat.inputs.bit_count()} rows, "
                 f"got {input_state.shape[0]}")
-    t, order, qubits = _run(pat, input_state, _bases(pat, [{}], {}), capacity,
+    t, order, qubits = _run(pat, input_state, _bases(pat, [{}]), capacity,
                             keep_measured)
     keys = itertools.product((0, 1), repeat=len(order))
     return [Branch(dict(zip(order, key)), tuple(order), qubits, state)
@@ -344,12 +378,30 @@ def check_strong_deterministic(pat: Pattern, tol: float = DEFAULT_TOL,
 
 def _lowersets(vertices: Sequence[int], order) -> List[Tuple[int, ...]]:
     """All downward-closed subsets of the measured vertices, in the order of
-    their bitmasks over `vertices`."""
+    their bitmasks over `vertices`.
+
+    Indices are decided from the highest down, 0 before 1, so the sets come
+    in increasing mask order.  `required` collects the predecessors of the
+    indices taken, which can no longer be left out; an index can be taken
+    only when none of its predecessors above it was left out.  Every partial
+    choice this allows completes (add the predecessors still required, a
+    closed set since the order is), so the work is O(m) per lowerset, not
+    per each of the 2^m masks.
+    """
     vs = list(vertices)
     below = [sum(1 << i for i, u in enumerate(vs) if order.less(u, v)) for v in vs]
-    return [tuple(sorted(vs[i] for i in members(mask)))
-            for mask in range(1 << len(vs))
-            if all(not below[i] & ~mask for i in members(mask))]
+    out: List[Tuple[int, ...]] = []
+    stack = [(len(vs) - 1, 0, 0)]  # (next index, taken, required)
+    while stack:
+        i, taken, required = stack.pop()
+        if i < 0:
+            out.append(tuple(sorted(vs[j] for j in members(taken))))
+            continue
+        if not (below[i] & ~taken) >> i:  # pushed first, so taken after leaving i out
+            stack.append((i - 1, taken | 1 << i, required | below[i]))
+        if not (required >> i) & 1:
+            stack.append((i - 1, taken, required))
+    return out
 
 
 def _truncate(pat: Pattern, keep: int) -> Pattern:
@@ -365,8 +417,10 @@ def _truncate(pat: Pattern, keep: int) -> Pattern:
                    pat.inputs, ((1 << pat.n) - 1) & ~keep, pat.names)
 
 
-def _angle_assignments(m: Mbqc, keep: Sequence[int], samples: int, seed: int) -> List[Dict[int, Angle]]:
-    """Angle choices for a truncation: fixed grid plus random draws.
+def _angle_assignments(m: Mbqc, measured: Sequence[int], samples: int,
+                       seed: int) -> List[Dict[int, Angle]]:
+    """Angle choices for the `measured` vertices: fixed grid plus random
+    draws, in that vertex order.
 
     Pauli-labelled vertices only ever take the exact angles 0 and pi.
     """
@@ -376,7 +430,7 @@ def _angle_assignments(m: Mbqc, keep: Sequence[int], samples: int, seed: int) ->
 
     def build(planar_angle: Optional[Angle], pauli_angle: Optional[Angle]) -> Dict[int, Angle]:
         asg = {}
-        for u in keep:
+        for u in measured:
             if og.labels[u].is_pauli:
                 asg[u] = m.angles[u] if pauli_angle is None else pauli_angle
             else:
@@ -390,7 +444,7 @@ def _angle_assignments(m: Mbqc, keep: Sequence[int], samples: int, seed: int) ->
     out.append(build(_HALF_PI, None))
     for _ in range(samples):
         asg = {}
-        for u in keep:
+        for u in measured:
             if og.labels[u].is_pauli:
                 asg[u] = (ZERO_ANGLE, PI_ANGLE)[int(rng.integers(2))]
             else:
@@ -411,12 +465,19 @@ def check_robust_deterministic(m: Mbqc, angle_samples: int = 20, seed: int = 0,
     of the actual computation; corrections deliberately dropped onto
     earlier-measured same-axis Pauli vertices are only sound there.
 
-    Each truncation is a filter of one pattern, run once with all its angle
-    assignments (see the module docstring); `checks` counts (truncation,
-    assignment) pairs up to and including the first failing one.  The pattern
-    is valid unchecked: one N per non-input, one E per edge, and each M u is
-    followed by corrections on targets in the graph (checked by Mbqc) that the
-    joined order measures after u, or never when they are outputs.
+    One stream of angle assignments over all measured vertices is drawn per
+    check; each truncation K is checked under that stream restricted to K.
+    The full pattern runs once, and each truncation that is a prefix of its
+    measurement sequence is read off that run where it pauses before the
+    next `M` (a command prefix; see the module docstring).  Every other
+    truncation, which exists only when the order is not total, runs as a
+    filter of the pattern.  Truncations are checked in increasing mask
+    order, all assignments at once; `checks` counts (truncation,
+    assignment) pairs up to and including the first failing one.  The
+    pattern is valid unchecked: one N per non-input, one E per edge, and
+    each M u is followed by corrections on targets in the graph (checked by
+    Mbqc) that the joined order measures after u, or never when they are
+    outputs.
 
     Returns a JSON-able report {"ok", "checks", "failure"}; `failure` names
     the offending truncation and angle assignment when one is found.
@@ -427,12 +488,22 @@ def check_robust_deterministic(m: Mbqc, angle_samples: int = 20, seed: int = 0,
     real_mode = og.is_real
     d_in = 1 << og.inputs.bit_count()
     columns = _test_vectors(d_in, real=True, seed=seed) if real_mode else np.eye(d_in)
-    known: Dict[Tuple[MeasurementLabel, Angle], np.ndarray] = {}
+    measured = sorted(og.labels)
+    assignments = _angle_assignments(m, measured, angle_samples, seed)
+    bases = _bases(full, assignments)
+    prefixes = _abort_points(full, columns, bases, capacity)
+    prefix_masks = itertools.accumulate(
+        (1 << cmd.qubit for cmd in full.commands if isinstance(cmd, Measure)),
+        operator.or_, initial=0)
+    prefix = next(prefix_masks)  # the next prefix the run pauses at
     checks = 0
-    for keep in _lowersets(sorted(og.labels), induced):
-        assignments = _angle_assignments(m, keep, angle_samples, seed + len(keep))
-        pat = _truncate(full, mask_of(keep))
-        out, _, _ = _run(pat, columns, _bases(pat, assignments, known), capacity)
+    for keep in _lowersets(measured, induced):
+        mask = mask_of(keep)
+        if mask == prefix:
+            out = next(prefixes)()[0]
+            prefix = next(prefix_masks, None)
+        else:
+            out = _run(_truncate(full, mask), columns, bases, capacity)[0]
         failed = np.flatnonzero(_strong_failures(out, real_mode, tol))
         if failed.size:
             angles = assignments[failed[0]]
@@ -441,7 +512,7 @@ def check_robust_deterministic(m: Mbqc, angle_samples: int = 20, seed: int = 0,
                 "checks": checks + int(failed[0]) + 1,
                 "failure": {
                     "measured": [og.names[u] for u in keep],
-                    "angles": {og.names[u]: str(a) for u, a in angles.items()},
+                    "angles": {og.names[u]: str(angles[u]) for u in keep},
                     "real_inputs": real_mode,
                 },
             }

@@ -9,6 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 import mbqcflow
+from mbqcflow import cli, patterns
 from mbqcflow.cli import main
 from mbqcflow.errors import RewriteError
 from mbqcflow.flows import flow_from_json
@@ -176,6 +177,37 @@ class TestCheck:
         p2.write_text("Q 1\n")
         res = runner.invoke(main, ["check", str(p2)])
         assert res.exit_code == 2
+
+    def test_invalid_pattern_same_line_at_every_level(self, runner, tmp_path):
+        p = tmp_path / "bad.mcpat"
+        p.write_text("N 1\nE 1 2\n")  # entangles a qubit never created
+        outputs = set()
+        for level in ("det", "strong", "robust"):
+            res = runner.invoke(main, ["check", str(p), "--level", level])
+            assert res.exit_code == 2
+            outputs.add(res.output)
+        (line,) = outputs
+        assert line.startswith("error: pattern is not valid: ")
+        assert line.count("\n") == 1
+
+    @pytest.mark.parametrize("level", ["det", "strong"])
+    @pytest.mark.parametrize("text", ["input: 1\nN 2\nM 1 XY 0\n", "N 1\nE 1 2\n"],
+                             ids=["valid", "invalid"])
+    def test_validates_once(self, runner, tmp_path, monkeypatch, level, text):
+        calls = []
+        real = patterns.validate
+
+        def counted(pat):
+            calls.append(pat)
+            return real(pat)
+
+        monkeypatch.setattr(patterns, "validate", counted)
+        monkeypatch.setattr(cli, "validate", counted)
+        p = tmp_path / "pattern.mcpat"
+        p.write_text(text)
+        res = runner.invoke(main, ["check", str(p), "--level", level])
+        assert res.exit_code in (0, 1, 2)
+        assert len(calls) == 1
 
 
 class TestParallelize:

@@ -10,7 +10,10 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mbqcflow import statevec
 from mbqcflow.errors import CapacityError, ContractError
 from mbqcflow.flows import PartialOrder
 from mbqcflow.gf2 import mask_of, members
@@ -18,10 +21,11 @@ from mbqcflow.graphs import Graph, MeasurementLabel, OpenGraph
 from mbqcflow.instances import InstanceSpec, generate_instance
 from mbqcflow.patterns import (Angle, CorrectX, CorrectZ, Entangle, Mbqc,
                                Measure, New, Pattern, ZERO_ANGLE, PI_ANGLE,
-                               measurement_order, parse, print_pattern,
-                               to_pattern, validate)
+                               _standard_pattern, measurement_order, parse,
+                               print_pattern, to_pattern, validate)
 from mbqcflow.search import find_pauli_flow, find_pauli_flow_bruteforce
-from mbqcflow.statevec import (_angle_assignments, _test_vectors, _truncate,
+from mbqcflow.statevec import (_abort_points, _angle_assignments, _bases,
+                               _lowersets, _run, _test_vectors, _truncate,
                                branch_map, branches_complete, check_deterministic,
                                check_robust_deterministic,
                                check_strong_deterministic, eigenpair,
@@ -503,7 +507,9 @@ class TestRobustness:
 
 # ---------------------------------------------------------------------------
 # reference robustness check: one pattern per (truncation, assignment), each
-# run on the oracle and compared branch by branch
+# run on the oracle and compared branch by branch; every truncation K takes
+# the one stream of assignments drawn over all measured vertices,
+# restricted to K
 
 
 def reference_lowersets(vertices, order):
@@ -558,6 +564,7 @@ def reference_robust(m, angle_samples, seed, tol, order):
     checks = 0
     induced = measurement_order(m, order)
     full = to_pattern(m, order)
+    stream = _angle_assignments(m, sorted(og.labels), angle_samples, seed)
     for keep in reference_lowersets(sorted(og.labels), induced):
         sub_og = OpenGraph(og.graph, og.inputs, og.outputs | (og.measured & ~mask_of(keep)),
                            {u: og.labels[u] for u in keep}, og.names)
@@ -566,7 +573,8 @@ def reference_robust(m, angle_samples, seed, tol, order):
         # the checked truncation is a filter of the full pattern
         own = to_pattern(Mbqc(sub_og, {u: m.angles[u] for u in keep}, strategy), order)
         assert _truncate(full, mask_of(keep)) == own and validate(own)
-        for angles in _angle_assignments(m, keep, angle_samples, seed + len(keep)):
+        for drawn in stream:
+            angles = {u: drawn[u] for u in keep}
             pat = to_pattern(Mbqc(sub_og, angles, strategy), order)
             checks += 1
             verdict = validate(pat)
@@ -628,3 +636,159 @@ def test_robust_reports_match_reference():
             reports.append(got)
     assert any(isinstance(r, dict) and not r["ok"] for r in reports)
     assert any(isinstance(r, dict) and r["ok"] for r in reports)
+
+
+# ---------------------------------------------------------------------------
+# one run per check: lowersets, prefixes read off the run, run counts
+
+
+@st.composite
+def orders(draw):
+    """(vertices, order): a chain, an antichain or a random order over n
+    ids, and a subset of them as the vertices."""
+    n = draw(st.integers(0, 8))
+    kind = draw(st.sampled_from(["chain", "antichain", "random"]))
+    rank = draw(st.permutations(range(n)))
+    if kind == "chain":
+        order = PartialOrder.chain(n, rank)
+    elif kind == "antichain":
+        order = PartialOrder.empty(n)
+    else:
+        pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                              max_size=2 * n)) if n else []
+        order = PartialOrder.from_pairs(
+            n, [(rank[min(a, b)], rank[max(a, b)]) for a, b in pairs if a != b])
+    vertices = sorted(draw(st.sets(st.sampled_from(range(n))))) if n else []
+    return vertices, order
+
+
+@given(orders())
+@settings(max_examples=300, deadline=None)
+def test_lowersets_match_reference(case):
+    vertices, order = case
+    assert _lowersets(vertices, order) == reference_lowersets(vertices, order)
+
+
+def test_lowersets_of_a_chain_and_an_antichain():
+    chain = PartialOrder.chain(14, range(13, -1, -1))
+    assert _lowersets(range(14), chain) == [tuple(range(k, 14)) for k in range(14, -1, -1)]
+    assert len(_lowersets(range(6), PartialOrder.empty(6))) == 64
+    assert _lowersets([], PartialOrder.empty(0)) == [()]
+
+
+def random_linear_extension(order, vertices, rng):
+    left, out = set(vertices), []
+    while left:
+        ready = sorted(v for v in left if not any(order.less(u, v) for u in left))
+        out.append(rng.choice(ready))
+        left.remove(out[-1])
+    return out
+
+
+def prefix_cases():
+    """(mbqc, order) pairs: random total orders, the completed orders of the
+    2x5 and 2x6 grids, and one-target mutants under their own order."""
+    rng = random.Random(51)
+    cases = []
+    for m, _, flow in random_patterns(12, seed=51):
+        induced = measurement_order(m, flow.order)
+        chain = random_linear_extension(induced, sorted(m.og.labels), rng)
+        cases.append((m, PartialOrder.chain(m.og.n, chain)))
+        cases += [(mut, None) for mut in one_target_mutants(m, rng, 1)]
+    cases += [grid(2, 5), grid(2, 6)]
+    return cases
+
+
+def test_prefix_reads_equal_truncated_runs():
+    """Each pause of the one run holds, bit for bit, the tensor of the
+    truncation to the measurements before it, run on its own."""
+    for m, order in prefix_cases():
+        full = _standard_pattern(m, measurement_order(m, order))
+        d_in = 1 << m.og.inputs.bit_count()
+        columns = (_test_vectors(d_in, real=True, seed=0) if m.og.is_real
+                   else np.eye(d_in))
+        bases = _bases(full, _angle_assignments(m, sorted(m.og.labels), 2, 0))
+        sequence = [c.qubit for c in full.commands if isinstance(c, Measure)]
+        pauses = 0
+        for j, read in enumerate(_abort_points(full, columns, bases, 12)):
+            expect = _run(_truncate(full, mask_of(sequence[:j])), columns, bases, 12)[0]
+            assert np.array_equal(read()[0], expect)
+            pauses += 1
+        assert pauses == len(sequence) + 1
+
+
+@pytest.fixture
+def run_starts(monkeypatch):
+    """Count the runs of the command loop that start."""
+    starts = []
+    loop = statevec._abort_points
+
+    def counted(*args, **kwargs):
+        starts.append(args[0])
+        yield from loop(*args, **kwargs)
+
+    monkeypatch.setattr(statevec, "_abort_points", counted)
+    return starts
+
+
+def test_one_run_per_total_order_check(run_starts):
+    cases = [grid(2, 5)] + [(m, completed_order(m.og, flow))
+                            for m, _, flow in random_patterns(6, seed=52)]
+    for m, order in cases:
+        run_starts.clear()
+        rep = check_robust_deterministic(m, angle_samples=1, order=order)
+        assert rep["ok"], rep["failure"]
+        assert len(run_starts) == 1
+
+
+def test_non_prefix_lowersets_run_as_filters(run_starts):
+    m, _ = grid(2, 4)
+    cases = [(m, find_pauli_flow(m.og).flow.order)]
+    cases += [(m, flow.order) for m, _, flow in random_patterns(10, seed=53)]
+    extra = 0
+    for m, order in cases:
+        run_starts.clear()
+        rep = check_robust_deterministic(m, angle_samples=1, order=order)
+        assert rep["ok"], rep["failure"]
+        lowersets = reference_lowersets(sorted(m.og.labels), measurement_order(m, order))
+        prefixes = len(m.og.labels) + 1
+        assert len(run_starts) == 1 + len(lowersets) - prefixes
+        extra += len(lowersets) - prefixes
+    assert extra > 0
+
+
+@pytest.mark.parametrize("total", [True, False], ids=["chain", "non-chain"])
+def test_failure_at_a_sampled_assignment(monkeypatch, total):
+    """A failure forced at a sampled assignment of one truncation reports
+    that truncation and the shared stream restricted to it."""
+    m, chain = grid(2, 4)
+    order = chain if total else find_pauli_flow(m.og).flow.order
+    lowersets = reference_lowersets(sorted(m.og.labels), measurement_order(m, order))
+    assert (len(lowersets) == len(m.og.labels) + 1) == total
+    samples, seed, hit = 3, 5, 6  # assignment 6 is the second random draw
+    stream = _angle_assignments(m, sorted(m.og.labels), samples, seed)
+    strong_failures = statevec._strong_failures
+    targets = (1, len(lowersets) // 2, len(lowersets) - 1)
+    full = _standard_pattern(m, measurement_order(m, order))
+    sequence = [c.qubit for c in full.commands if isinstance(c, Measure)]
+    prefixes = {tuple(sorted(sequence[:j])) for j in range(len(sequence) + 1)}
+    assert all(lowersets[t] in prefixes for t in targets) == total
+    for target in targets:
+        calls = []
+
+        def forced(out, real_inputs, tol):
+            bad = strong_failures(out, real_inputs, tol)
+            if len(calls) == target:
+                bad = bad.copy()
+                bad[hit] = True
+            calls.append(out)
+            return bad
+
+        monkeypatch.setattr(statevec, "_strong_failures", forced)
+        rep = check_robust_deterministic(m, angle_samples=samples, seed=seed, order=order)
+        keep = lowersets[target]
+        names = m.og.names
+        assert not rep["ok"]
+        assert rep["checks"] == target * (5 + samples) + hit + 1
+        assert rep["failure"]["measured"] == [names[u] for u in keep]
+        assert rep["failure"]["angles"] == {names[u]: str(stream[hit][u]) for u in keep}
