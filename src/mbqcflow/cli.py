@@ -2,7 +2,8 @@
 parallelization, bundled counterexamples and random instance generation.
 
 Exit codes: 0 = pass, 1 = property violated / no result, 2 = usage or parse
-error.  Reports are JSON with --json, human text otherwise.
+error.  Reports are JSON with --json, human text otherwise.  Only `check` and
+`counterexamples` import the state-vector engine, and with it numpy.
 """
 
 from __future__ import annotations
@@ -23,8 +24,6 @@ from .patterns import (Angle, Mbqc, Measure, _parse_angle, of_pattern, parse,
                        pattern_from_json, print_pattern, standardize,
                        to_pattern, validate)
 from .search import find_pauli_flow, find_pauli_flow_bruteforce, flow_depth
-from .statevec import (check_deterministic, check_robust_deterministic,
-                       check_strong_deterministic)
 from .synthesis import (bipartite_normal_form, parallel_measurement_order,
                         parallelize, synthesize_corrections)
 
@@ -161,6 +160,8 @@ def cmd_synthesize(graph_file, angle_opts, output):
 @click.option("--json", "as_json", is_flag=True)
 def cmd_check(pattern_file, level, samples, seed, tolerance, as_json):
     """Determinism check of a pattern at the chosen strictness."""
+    from .statevec import (check_deterministic, check_robust_deterministic,
+                           check_strong_deterministic)
     pat = _load(pattern_file,
                 pattern_from_json if pattern_file.endswith(".json") else parse)
     doc = {"level": level}
@@ -242,6 +243,7 @@ def cmd_counterexamples(samples, seed, as_json):
     that measures vertex 1 before vertex 2, yet an (incompatibly ordered)
     flow does exist.
     """
+    from .statevec import check_robust_deterministic
     report = []
     ok_all = True
     for stem in ("counterexample1", "counterexample2"):

@@ -23,15 +23,14 @@ from mbqcflow.patterns import (Angle, Mbqc, PI_ANGLE, ZERO_ANGLE, parse,
                                pattern_from_json, pattern_to_json,
                                print_pattern, to_pattern, validate)
 from mbqcflow.search import find_pauli_flow, find_pauli_flow_bruteforce
-from mbqcflow.stabilizer import (initial_stabilizers, measurement_operator,
-                                 pauli_runs, reorder_generators,
-                                 state_distance)
+from mbqcflow.stabilizer import initial_stabilizers, measurement_operator
 from mbqcflow.statevec import (branches_complete, check_robust_deterministic,
                                run_pattern)
 from mbqcflow.synthesis import (bipartite_normal_form, completed_order,
                                 normal_form_equations_hold, parallelize,
                                 strategy_order, synthesize_corrections)
 
+from oracles import pauli_runs, reorder_generators, state_distance
 from strategy_search import refute_all_strategies
 
 L = MeasurementLabel

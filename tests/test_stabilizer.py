@@ -15,18 +15,18 @@ from mbqcflow.graphs import Graph, MeasurementLabel, OpenGraph
 from mbqcflow.instances import InstanceSpec, generate_instance
 from mbqcflow.patterns import (Angle, Mbqc, PI_ANGLE, ZERO_ANGLE, to_pattern)
 from mbqcflow.search import find_pauli_flow, find_pauli_flow_bruteforce
-from mbqcflow.stabilizer import (PauliOperator, StabilizerState, apply_pauli,
-                                 apply_pauli_to_vector, canonical_generators,
-                                 collapse, correction_operator,
-                                 initial_stabilizers, measure_outcome,
-                                 measurement_operator, output_group_signature,
-                                 pauli_robustness_probe, pauli_runs,
-                                 projector_overlap, reorder_generators,
-                                 restricted_generators, state_distance)
+from mbqcflow.stabilizer import (PauliOperator, StabilizerState,
+                                 correction_operator, initial_stabilizers,
+                                 measurement_operator, pauli_robustness_probe)
 from mbqcflow.statevec import run_pattern
 from mbqcflow.synthesis import (CorrectionStrategy, bipartite_normal_form,
                                 is_extensive, parallelize,
                                 synthesize_corrections)
+
+from oracles import (apply_pauli, apply_pauli_to_vector, canonical_generators,
+                     collapse, measure_outcome, output_group_signature,
+                     pauli_runs, projector_overlap, reorder_generators,
+                     restricted_generators, state_distance)
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
