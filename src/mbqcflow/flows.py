@@ -30,6 +30,9 @@ class PartialOrder:
     depth-first closure that closes each row once, skips covered successors
     and takes the lowest or highest pending one, whichever has the larger
     row, so chains close in linear time either way (`minimal` walks alike).
+    A closed row, the set reachable from u, depends only on u's relation
+    row, so vertices with equal relation rows share one: the siblings of a
+    layered cover document close once per layer, not once per vertex.
     A cycle's frames fold into one, so rows are the reachable sets of
     Warshall's closure and CycleError names its vertex, the lowest u in u's row.
     """
@@ -57,7 +60,10 @@ class PartialOrder:
     @classmethod
     def _close(cls, n: int, rows: List[int]) -> "PartialOrder":
         closed = [None if row else 0 for row in rows]  # rows without successors are closed
+        memo = {}  # relation row -> its closed row, shared by all vertices with that row
         for root in range(n - 1, -1, -1):
+            if closed[root] is None:
+                closed[root] = memo.get(rows[root])
             stack, active = [[1 << root, rows[root], 0]], 1 << root  # [vertices, pending, row]
             while closed[root] is None:
                 group, todo, acc = stack[-1]
@@ -76,13 +82,15 @@ class PartialOrder:
                             stack[-1] = [a | b for a, b in zip(stack[-1], top)]
                         group, todo, acc = stack[-1]
                         stack[-1] = [group, todo & ~(acc | group), acc | group]
+                    elif rows[w] in memo:
+                        closed[w] = memo[rows[w]]
                     else:
                         stack.append([1 << w, rows[w], 0])
                         active |= 1 << w
                     break
                 else:
                     for u in members(group):
-                        closed[u] = acc
+                        closed[u] = memo[rows[u]] = acc
                     active &= ~group
                     stack.pop()
         for u in filter(lambda u: (closed[u] >> u) & 1, range(n)):

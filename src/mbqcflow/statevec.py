@@ -5,18 +5,28 @@ measurement-angle assignments, at once.  Its tensor has these axes, in order:
 
 * one angle-assignment axis A (size 1 until the first measurement
   broadcasts it out);
-* one outcome axis of size 2 per measurement done so far;
 * one axis of size 2 per live qubit;
-* one axis of input columns.
+* one axis of input columns;
+* one outcome axis of size 2 per measurement done so far, oldest first.
 
 `N` stacks a |+> axis and `E` flips the sign of its (1, 1) slice.  `M u`
-moves u's axis to the front and contracts it, in one batched matmul, with
-the (A, 2, 2) stack of conjugated (+, -) eigenvectors; the contracted axis
-is u's outcome axis.  `X`/`Z` with signal s flip u's axis, or the sign of
-its 1 slice, on the slice where s's outcome is 1.  The result, read as
-(A, 2^k, 2^{|O|}, cols), holds every branch map A_s as a 2^{|O|} x cols
-matrix, one per outcome string s in lexicographic measurement order.  Row
-and column indices are little-endian over the sorted qubit ids.
+moves u's axis last and contracts it, in one batched matmul, with the
+(A, 2, 2) stack of conjugated (+, -) eigenvectors; the contracted axis,
+now last, is u's outcome axis.  `X`/`Z` with signal s flip u's axis, or the
+sign of its 1 slice, on the slice where s's outcome is 1.  The sorted read
+of the result, (A, 2^k, 2^{|O|}, cols), holds every branch map A_s as a
+2^{|O|} x cols matrix, one per outcome string s in lexicographic
+measurement order; row and column indices are little-endian over the
+sorted qubit ids.  The grouped read, (A, 2^{|O|}, cols, 2^k), is the
+tensor itself reshaped: the same branches in the same order, last, and
+the rows big-endian over the live axes in their own order.
+
+The dtype follows the inputs: the tensor is float64 when the input columns
+and every eigenbasis are real, complex128 otherwise.  The real labels X, Z
+and XZ have Bloch vectors with no Y part, so phi is 0 or pi and their
+eigenvectors are real at every angle; N, E, X and Z keep a real tensor
+real.  So on a real open graph, whose test vectors are real, the
+robustness check runs in float64 end to end.
 
 `capacity` bounds the outcome axes plus the live-qubit axes, the log2 of the
 tensor's rows per assignment and input column.  A measurement trades a live
@@ -54,8 +64,21 @@ assignment changes only the eigenvectors a measurement contracts with, so
 slice a is the run of the pattern built with assignment a.  One stream of
 assignments over all measured vertices serves every truncation, since a
 truncation contracts only with the rows of its own measured qubits; K is
-checked under that stream restricted to K.
+checked under that stream restricted to K.  The stream is an (A, m) array
+of radians, and one `_eigen_rows` call turns all of it into eigenbases.
+
+Each truncation's strong test reads the grouped tensor, not the sorted
+one, so it pays no transpose copy.  What that keeps: branch 0, the
+reference, is the all-zero outcome string in both layouts; the other
+branches and the entries of each branch only change order.  The
+complex-input test compares entries one by one and reduces with `any`,
+which order does not change; the only possible difference is the pivot,
+the first largest entry of branch 0 in the layout's order, when several
+entries have the same magnitude.  The real-input test sums over the rows
+of each column, and in the grouped layout adds the same terms in another
+order, so its norms and inner products may differ in rounding.
 """
+
 
 from __future__ import annotations
 
@@ -70,7 +93,7 @@ import numpy as np
 from .errors import CapacityError, ContractError
 from .gf2 import mask_of, members
 from .graphs import MeasurementLabel
-from .patterns import (PI_ANGLE, ZERO_ANGLE, Angle, CorrectX, CorrectZ,
+from .patterns import (PI_ANGLE, TWO_PI, ZERO_ANGLE, Angle, CorrectX, CorrectZ,
                        Entangle, Measure, Mbqc, New, Pattern, _require_valid,
                        _standard_pattern, measurement_order)
 
@@ -80,83 +103,97 @@ DEFAULT_TOL = 1e-9
 _SQRT_HALF = 1 / math.sqrt(2)
 _QUARTER_PI = Angle.from_fraction(1, 4)
 _HALF_PI = Angle.from_fraction(1, 2)
+_GRID = (ZERO_ANGLE, PI_ANGLE, _QUARTER_PI, _HALF_PI)  # rows 1-4 of the angle stream
+
+# Bloch axes (x, y, z) = (0, 1, 2) of each label: the vector is
+# cos(angle) along the first and, on planes, sin(angle) along the second.
+_COS_AXIS = {MeasurementLabel.XY: 0, MeasurementLabel.YZ: 1, MeasurementLabel.XZ: 2,
+             MeasurementLabel.X: 0, MeasurementLabel.Y: 1, MeasurementLabel.Z: 2}
+_SIN_AXIS = {MeasurementLabel.XY: 1, MeasurementLabel.YZ: 2, MeasurementLabel.XZ: 0}
 
 
-def _bloch_vector(label: MeasurementLabel, angle: Angle) -> Tuple[float, float, float]:
-    c, s = math.cos(angle.radians), math.sin(angle.radians)
-    if label is MeasurementLabel.XY:
-        return (c, s, 0.0)
-    if label is MeasurementLabel.YZ:
-        return (0.0, c, s)
-    if label is MeasurementLabel.XZ:
-        return (s, 0.0, c)  # cos a Z + sin a X
-    if not angle.is_zero_or_pi:
+def _radians(label: MeasurementLabel, angle: Angle) -> float:
+    if label.is_pauli and not angle.is_zero_or_pi:
         raise ContractError(
             f"label {label.to_string()} needs an exact angle 0 or pi, got {angle}")
-    sign = 1.0 if angle.exact % 2 == 0 else -1.0
-    if label is MeasurementLabel.X:
-        return (sign, 0.0, 0.0)
-    if label is MeasurementLabel.Y:
-        return (0.0, sign, 0.0)
-    return (0.0, 0.0, sign)
+    return angle.radians
 
 
-def _fix_phase(v: np.ndarray) -> np.ndarray:
-    for a in v:
-        if abs(a) > 1e-12:
-            return v * (a.conjugate() / abs(a))
-    return v
+def _eigen_rows(labels: Sequence[MeasurementLabel], radians: np.ndarray) -> np.ndarray:
+    """(len(labels), A, 2, 2) conjugated (+1, -1) eigenvector rows of the
+    observables n.(X, Y, Z), one row of A angles (radians) per label.
+
+    n is the Bloch vector of the label at the angle: cos along the label's
+    first axis plus, on planes, sin along its second.  Pauli labels come
+    at exactly 0 or pi (`_radians` and `_angle_stream` see to it), where
+    cos is exactly +-1.  With theta and phi the polar angles of n, the
+    eigenvectors are (cos theta/2, e^{i phi} sin theta/2) and
+    (sin theta/2, -e^{i phi} cos theta/2), each multiplied by the phase
+    that makes its first amplitude above 1e-12 real positive.  The stack
+    is float64 when every label is real (X, Z, XZ: n has no y part, so phi
+    is 0 or pi and e^{i phi} is cos phi) and complex128 otherwise.
+    """
+    radians = np.asarray(radians, dtype=float)
+    bloch = np.zeros((3,) + radians.shape)
+    bloch[[_COS_AXIS[lab] for lab in labels], range(len(labels))] = np.cos(radians)
+    planes = [i for i, lab in enumerate(labels) if not lab.is_pauli]
+    bloch[[_SIN_AXIS[labels[i]] for i in planes], planes] = np.sin(radians[planes])
+    nx, ny, nz = bloch
+    theta = np.arctan2(np.hypot(nx, ny), nz)
+    phi = np.arctan2(ny, nx)
+    c, s = np.cos(theta / 2), np.sin(theta / 2)
+    e = np.cos(phi)
+    if not all(lab.is_real for lab in labels):
+        e = e + 1j * np.sin(phi)
+    vecs = np.empty(radians.shape + (2, 2), e.dtype)  # [eigenvector, amplitude]
+    vecs[..., 0, 0], vecs[..., 0, 1] = c, e * s
+    vecs[..., 1, 0], vecs[..., 1, 1] = s, -e * c
+    lead = np.where(np.abs(vecs[..., :1]) > 1e-12, vecs[..., :1], vecs[..., 1:])
+    vecs *= lead.conj() / np.abs(lead)
+    return vecs.conj()
 
 
 def eigenpair(label: MeasurementLabel, angle: Angle) -> Tuple[np.ndarray, np.ndarray]:
-    """(+1, -1) eigenvectors of the measured observable.
+    """(+1, -1) eigenvectors of the measured observable (see `_eigen_rows`).
 
-    The observable is n.(X, Y, Z) with n the Bloch vector of the label/angle
-    pair.  Each eigenvector is normalized with its first non-negligible
-    amplitude real positive.
+    Each is normalized with its first non-negligible amplitude real
+    positive; float64 for the real labels X, Z and XZ, complex128 otherwise.
     """
-    nx, ny, nz = _bloch_vector(label, angle)
-    theta = math.atan2(math.hypot(nx, ny), nz)
-    phi = math.atan2(ny, nx)
-    e = complex(math.cos(phi), math.sin(phi))
-    plus = np.array([math.cos(theta / 2), e * math.sin(theta / 2)], dtype=complex)
-    minus = np.array([math.sin(theta / 2), -e * math.cos(theta / 2)], dtype=complex)
-    return _fix_phase(plus), _fix_phase(minus)
+    plus, minus = _eigen_rows([label], [[_radians(label, angle)]])[0, 0].conj()
+    return plus, minus
 
 
 def _bases(pat: Pattern, assignments: Sequence[Dict[int, Angle]]) -> Dict[int, np.ndarray]:
     """(A, 2, 2) conjugated (+, -) eigenvector rows of every measured qubit,
     one slice per angle assignment (the pattern's own angles where the
-    assignment does not name the qubit).  Each (label, angle) pair's rows
-    are computed once."""
-    known: Dict[Tuple[MeasurementLabel, Angle], np.ndarray] = {}
-
-    def rows(label: MeasurementLabel, angle: Angle) -> np.ndarray:
-        if (label, angle) not in known:
-            known[label, angle] = np.array(eigenpair(label, angle)).conj()
-        return known[label, angle]
-
+    assignment does not name the qubit)."""
     measures = [cmd for cmd in pat.commands if isinstance(cmd, Measure)]
-    stack = np.array([[rows(cmd.label, asg.get(cmd.qubit, cmd.angle))
-                       for asg in assignments] for cmd in measures])
-    return {cmd.qubit: stack[i] for i, cmd in enumerate(measures)}
+    radians = [[_radians(cmd.label, asg.get(cmd.qubit, cmd.angle)) for asg in assignments]
+               for cmd in measures]
+    stack = _eigen_rows([cmd.label for cmd in measures],
+                        np.reshape(radians, (len(measures), len(assignments))))
+    return dict(zip((cmd.qubit for cmd in measures), stack))
 
 
 def _abort_points(pat: Pattern, columns: np.ndarray, bases: Dict[int, np.ndarray],
                   capacity: int, keep_measured: bool = False
-                  ) -> Iterator[Callable[[], Tuple[np.ndarray, List[int], Tuple[int, ...]]]]:
+                  ) -> Iterator[Callable[..., Tuple[np.ndarray, List[int], Tuple[int, ...]]]]:
     """Run a valid pattern on every branch and every angle assignment,
     pausing before each `M` and at the end.
 
     `columns` is the 2^{|I|} x d input matrix and `bases[u]` the (A, 2, 2)
-    stack of conjugated eigenvector rows of measured qubit u.  Each pause
+    stack of conjugated eigenvector rows of measured qubit u; the tensor
+    takes their common dtype, float64 when both are real.  Each pause
     yields a reader of the run so far: it returns the (A, 2^k, 2^q, d)
     tensor of branch maps, the measurement order and the q sorted qubit ids
     of the rows, as `_run` returns them for the pattern cut at that point.
-    Call it before resuming: `E`, `X` and `Z` write the tensor in place, and
-    the reader's tensor may be a view of it.  With `keep_measured` each
-    measured qubit is tensored back on in its outcome's eigenstate before
-    the last pause.
+    `read(grouped=True)` returns instead the run's own tensor reshaped to
+    (A, 2^q, d, 2^k), with no copy, and the live qubits in place of the
+    sorted ids: rows big-endian over the live qubits as listed, branches in
+    the same order as the sorted read's.  Call a reader before resuming:
+    `E`, `X` and `Z` write the tensor in place, and its tensor may be a
+    view of it.  With `keep_measured` each measured qubit is tensored back
+    on in its outcome's eigenstate before the last pause.
     """
     def require_width(width: int) -> None:
         if width > capacity:
@@ -167,21 +204,24 @@ def _abort_points(pat: Pattern, columns: np.ndarray, bases: Dict[int, np.ndarray
     ncols = columns.shape[1]
     # Axis 1+i of the initial tensor carries bit len(ins)-1-i of the row
     # index, i.e. input qubit ins[len(ins)-1-i].
-    t = np.array(columns, dtype=complex).reshape((1,) + (2,) * len(ins) + (ncols,))
-    live = ins[::-1]  # qubit of each live axis; they follow the outcome axes
-    order: List[int] = []  # measured qubits; axis 1 holds the newest outcome
+    dtype = np.result_type(columns, *bases.values())
+    t = np.array(columns, dtype=dtype).reshape((1,) + (2,) * len(ins) + (ncols,))
+    live = ins[::-1]  # qubit of each live axis; they follow the assignment axis
+    order: List[int] = []  # measured qubits; their outcome axes follow the columns
 
     def outcome_axis(s: int) -> int:
-        return len(order) - order.index(s)
+        return 2 + len(live) + order.index(s)
 
     def qubit_axis(q: int) -> int:
-        return 1 + len(order) + live.index(q)
+        return 1 + live.index(q)
 
-    def read() -> Tuple[np.ndarray, List[int], Tuple[int, ...]]:
+    def read(grouped: bool = False) -> Tuple[np.ndarray, List[int], Tuple[int, ...]]:
         k = len(order)
+        if grouped:
+            return t.reshape((t.shape[0], 1 << len(live), ncols, 1 << k)), order, tuple(live)
         keep = tuple(sorted(live))
-        perm = ([0] + list(range(k, 0, -1)) + [qubit_axis(q) for q in reversed(keep)]
-                + [t.ndim - 1])
+        perm = ([0] + list(range(2 + len(live), t.ndim))
+                + [qubit_axis(q) for q in reversed(keep)] + [1 + len(live)])
         return (np.transpose(t, perm).reshape((t.shape[0], 1 << k, 1 << len(keep), ncols)),
                 order, keep)
 
@@ -189,17 +229,17 @@ def _abort_points(pat: Pattern, columns: np.ndarray, bases: Dict[int, np.ndarray
         idx = [slice(None)] * t.ndim
         if isinstance(cmd, New):
             require_width(len(order) + len(live) + 1)
-            half = t * _SQRT_HALF
-            t = np.stack((half, half), axis=1 + len(order))
+            t = (t * _SQRT_HALF)[:, None].repeat(2, axis=1)
             live.insert(0, cmd.qubit)
         elif isinstance(cmd, Entangle):
             idx[qubit_axis(cmd.a)] = idx[qubit_axis(cmd.b)] = 1
             t[tuple(idx)] *= -1
         elif isinstance(cmd, Measure):
             yield read
-            t = np.moveaxis(t, qubit_axis(cmd.qubit), 1)
+            ax = qubit_axis(cmd.qubit)
+            t = t.transpose([*range(ax), *range(ax + 1, t.ndim), ax])  # u's axis last
             shape = t.shape
-            t = bases[cmd.qubit] @ t.reshape(shape[0], 2, -1)
+            t = t.reshape(shape[0], -1, 2) @ bases[cmd.qubit].swapaxes(1, 2)
             t = t.reshape(t.shape[:1] + shape[1:])
             live.remove(cmd.qubit)
             order.append(cmd.qubit)
@@ -220,19 +260,19 @@ def _abort_points(pat: Pattern, columns: np.ndarray, bases: Dict[int, np.ndarray
         for u in order:
             shape = [1] * (t.ndim + 1)
             shape[0] = bases[u].shape[0]
-            shape[outcome_axis(u)] = shape[1 + len(order)] = 2
-            t = np.expand_dims(t, 1 + len(order)) * bases[u].conj().reshape(shape)
+            shape[1] = shape[1 + outcome_axis(u)] = 2
+            t = t[:, None] * bases[u].conj().swapaxes(1, 2).reshape(shape)
             live.insert(0, u)
     yield read
 
 
 def _run(pat: Pattern, columns: np.ndarray, bases: Dict[int, np.ndarray],
-         capacity: int, keep_measured: bool = False
+         capacity: int, keep_measured: bool = False, grouped: bool = False
          ) -> Tuple[np.ndarray, List[int], Tuple[int, ...]]:
     """The whole run of `_abort_points`: its last reader, read."""
     for read in _abort_points(pat, columns, bases, capacity, keep_measured):
         pass
-    return read()
+    return read(grouped)
 
 
 @dataclass
@@ -269,13 +309,16 @@ def run_pattern(
     is the branch map itself.  With `keep_measured` qubits stay in their
     post-measurement eigenstate instead of being traced out.  Branches come
     in lexicographic order of their outcome bits in measurement order.
+    States are float64 when the input and every measured label are real
+    (X, Z, XZ), complex128 otherwise.
     """
     _require_valid(pat)
     d_in = 1 << pat.inputs.bit_count()
     if input_state is None:
-        input_state = np.eye(d_in, dtype=complex)
+        input_state = np.eye(d_in)
     else:
-        input_state = np.asarray(input_state, dtype=complex)
+        input_state = np.asarray(input_state)
+        input_state = input_state.astype(complex if np.iscomplexobj(input_state) else float)
         if input_state.ndim == 1:
             input_state = input_state[:, None]
         if input_state.shape[0] != d_in:
@@ -313,14 +356,13 @@ def _test_vectors(d: int, real: bool, seed: int = 0) -> np.ndarray:
     if not real:
         r = r + 1j * rng.normal(size=(d, 2))
     cols.append(r / np.linalg.norm(r, axis=0))
-    return np.hstack(cols).astype(complex)
+    return np.hstack(cols)  # float64 when real
 
 
-def _proportional(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
-    """Column-wise test that a and b (rows on axis -2) are proportional;
-    a column that is zero on either side passes."""
-    na, nb = np.linalg.norm(a, axis=-2), np.linalg.norm(b, axis=-2)
-    inner = np.abs(np.sum(a.conj() * b, axis=-2))
+def _proportional(inner: np.ndarray, na: np.ndarray, nb: np.ndarray,
+                  tol: float) -> np.ndarray:
+    """Vectors with norms na and nb and inner product magnitude `inner` are
+    proportional; a zero vector on either side passes."""
     return (na <= tol) | (nb <= tol) | (np.abs(inner - na * nb) <= tol * na * nb + tol)
 
 
@@ -333,31 +375,55 @@ def check_deterministic(pat: Pattern, tol: float = DEFAULT_TOL, seed: int = 0,
     """
     d_in = 1 << pat.inputs.bit_count()
     out = _branch_tensor(pat, _test_vectors(d_in, real=False, seed=seed), capacity)
-    ref = np.argmax(np.linalg.norm(out, axis=1) > tol, axis=0)  # per column
+    norms = np.linalg.norm(out, axis=1)  # (branches, cols)
+    ref = np.argmax(norms > tol, axis=0)  # per column
     cols = np.arange(out.shape[2])
-    return bool(_proportional(out[ref, :, cols].T, out, tol).all())
+    inner = np.abs(np.sum(out[ref, :, cols].T.conj() * out, axis=1))
+    return bool(_proportional(inner, norms[ref, cols], norms, tol).all())
 
 
 def _strong_failures(out: np.ndarray, real_inputs: bool, tol: float) -> np.ndarray:
-    """Per angle assignment of an (A, branches, rows, cols) tensor: True
-    where its branches are not strongly deterministic (see
-    check_strong_deterministic)."""
-    ref = out[:, :1]
+    """Per angle assignment of an (A, rows, cols, branches) tensor, as
+    `read(grouped=True)` gives it: True where its branches are not strongly
+    deterministic (see check_strong_deterministic).  Branch 0, the
+    reference, is the all-zero outcome string.
+
+    The complex-input test is np.allclose's, |out - c ref| <= tol + 1e-5
+    |c ref| entrywise, with c a branch's ratio to the reference at the
+    pivot, the largest entry of the reference.  Where every entry of
+    out - c ref has real and imaginary parts within tol/2, it is within
+    tol/sqrt(2) < tol, so the test holds; only assignments with a larger
+    part are tested exactly, on the branches that have one.  |out| is read
+    only where a pivot is zero.
+    """
     if real_inputs:
-        norm_gap = np.abs(np.linalg.norm(ref, axis=-2) - np.linalg.norm(out, axis=-2))
-        bad = (norm_gap > tol) | ~_proportional(ref, out, tol)
+        ref = out[..., :1]
+        na, nb = np.linalg.norm(ref, axis=1), np.linalg.norm(out, axis=1)
+        inner = np.abs(np.sum(ref.conj() * out, axis=1))
+        bad = (np.abs(na - nb) > tol) | ~_proportional(inner, na, nb, tol)
         return bad.any(axis=(1, 2))
-    n_asg, n_branch = out.shape[:2]
-    flat = out.reshape(n_asg, n_branch, -1)
-    pick = np.argmax(np.abs(flat[:, 0]), axis=1)  # largest entry of branch 0
-    pivot = flat[np.arange(n_asg), 0, pick]
+    n_asg, n_branch = out.shape[0], out.shape[-1]
+    flat = out.reshape(n_asg, -1, n_branch)
+    ref = flat[..., 0]
+    asg = np.arange(n_asg)
+    pick = np.abs(ref).argmax(axis=1)
+    pivot = ref[asg, pick]
     zero = np.abs(pivot) <= tol
-    ratio = flat[np.arange(n_asg), :, pick] / np.where(zero, 1, pivot)[:, None]
-    phase_bad = (np.abs(np.abs(ratio) - 1) > tol).any(axis=1)
-    scaled = ratio[:, :, None, None] * ref
-    far = np.abs(out - scaled) > tol + 1e-5 * np.abs(scaled)  # np.allclose's test
-    nonzero = (np.abs(out) > tol).any(axis=(1, 2, 3))
-    return np.where(zero, nonzero, phase_bad | far.any(axis=(1, 2, 3)))
+    pivot[zero] = 1
+    ratio = flat[asg, pick] / pivot[:, None]
+    bad = (np.abs(np.abs(ratio) - 1) > tol).any(axis=1)
+    gap = ref[:, :, None] * ratio[:, None]
+    np.subtract(flat, gap, out=gap)
+    parts = gap.view(np.float64)  # (A, entries, branches x (re, im))
+    np.abs(parts, out=parts)
+    loose = parts.reshape(n_asg, -1).max(axis=1) > tol / 2
+    for a in (loose & ~(bad | zero)).nonzero()[0]:
+        b = (parts[a] > tol / 2).reshape(gap.shape[1:] + (-1,)).any(axis=(0, 2)).nonzero()[0]
+        scaled = ratio[a, b] * ref[a, :, None]
+        bad[a] = (np.abs(flat[a][:, b] - scaled) > tol + 1e-5 * np.abs(scaled)).any()
+    if zero.any():
+        bad[zero] = (np.abs(flat[zero]) > tol).any(axis=(1, 2))
+    return bad
 
 
 def check_strong_deterministic(pat: Pattern, tol: float = DEFAULT_TOL,
@@ -370,10 +436,11 @@ def check_strong_deterministic(pat: Pattern, tol: float = DEFAULT_TOL,
     `real_inputs` the phase may depend on the input, so the check is per
     real test vector: proportional and equal norm.
     """
+    _require_valid(pat)
     d_in = 1 << pat.inputs.bit_count()
     columns = _test_vectors(d_in, real=True, seed=seed) if real_inputs else np.eye(d_in)
-    out = _branch_tensor(pat, columns, capacity)
-    return not _strong_failures(out[None], real_inputs, tol)[0]
+    out = _run(pat, columns, _bases(pat, [{}]), capacity, grouped=True)[0]
+    return not _strong_failures(out, real_inputs, tol)[0]
 
 
 def _lowersets(vertices: Sequence[int], order) -> List[Tuple[int, ...]]:
@@ -417,40 +484,50 @@ def _truncate(pat: Pattern, keep: int) -> Pattern:
                    pat.inputs, ((1 << pat.n) - 1) & ~keep, pat.names)
 
 
+def _angle_stream(m: Mbqc, measured: Sequence[int], samples: int, seed: int) -> np.ndarray:
+    """(5 + samples, len(measured)) radians: the Mbqc's own angles, the
+    grid rows 0, pi, pi/4 and pi/2, then `samples` random draws.
+
+    Pauli-labelled vertices only ever take exactly 0 and pi: they keep
+    their own angle in the pi/4 and pi/2 rows and draw 0 or pi by
+    `integers(2)`; planes draw `uniform(0, 2 pi)`, taken mod 2 pi as
+    `Angle.from_radians` does.  The draws go vertex by vertex, row by row,
+    from one `default_rng(seed)`.
+    """
+    og = m.og
+    pauli = [og.labels[u].is_pauli for u in measured]
+    own = [m.angles[u].radians for u in measured]
+    rows = [own, [ZERO_ANGLE.radians] * len(own), [PI_ANGLE.radians] * len(own)]
+    rows += [[a if p else g.radians for a, p in zip(own, pauli)] for g in _GRID[2:]]
+    rng = np.random.default_rng(seed)
+    for _ in range(samples):
+        rows.append([PI_ANGLE.radians * int(rng.integers(2)) if p
+                     else float(rng.uniform(0, 2 * math.pi)) % TWO_PI for p in pauli])
+    return np.array(rows)
+
+
+def _assignment(m: Mbqc, measured: Sequence[int], stream: np.ndarray,
+                row: int) -> Dict[int, Angle]:
+    """Row `row` of the angle stream as `Angle`s, for a report: the Mbqc's
+    own angles and the grid angles as they are, draws as 0 or pi on Pauli
+    labels and `Angle.from_radians` on planes."""
+    out = {}
+    for u, value in zip(measured, stream[row].tolist()):
+        pauli = m.og.labels[u].is_pauli
+        if row == 0 or (pauli and row in (3, 4)):
+            out[u] = m.angles[u]
+        elif row < 5:
+            out[u] = _GRID[row - 1]
+        else:
+            out[u] = (PI_ANGLE if value else ZERO_ANGLE) if pauli else Angle.from_radians(value)
+    return out
+
+
 def _angle_assignments(m: Mbqc, measured: Sequence[int], samples: int,
                        seed: int) -> List[Dict[int, Angle]]:
-    """Angle choices for the `measured` vertices: fixed grid plus random
-    draws, in that vertex order.
-
-    Pauli-labelled vertices only ever take the exact angles 0 and pi.
-    """
-    rng = np.random.default_rng(seed)
-    og = m.og
-    out: List[Dict[int, Angle]] = []
-
-    def build(planar_angle: Optional[Angle], pauli_angle: Optional[Angle]) -> Dict[int, Angle]:
-        asg = {}
-        for u in measured:
-            if og.labels[u].is_pauli:
-                asg[u] = m.angles[u] if pauli_angle is None else pauli_angle
-            else:
-                asg[u] = m.angles[u] if planar_angle is None else planar_angle
-        return asg
-
-    out.append(build(None, None))
-    out.append(build(ZERO_ANGLE, ZERO_ANGLE))
-    out.append(build(PI_ANGLE, PI_ANGLE))
-    out.append(build(_QUARTER_PI, None))
-    out.append(build(_HALF_PI, None))
-    for _ in range(samples):
-        asg = {}
-        for u in measured:
-            if og.labels[u].is_pauli:
-                asg[u] = (ZERO_ANGLE, PI_ANGLE)[int(rng.integers(2))]
-            else:
-                asg[u] = Angle.from_radians(float(rng.uniform(0, 2 * math.pi)))
-        out.append(asg)
-    return out
+    """Every row of the angle stream as `Angle`s."""
+    stream = _angle_stream(m, measured, samples, seed)
+    return [_assignment(m, measured, stream, row) for row in range(len(stream))]
 
 
 def check_robust_deterministic(m: Mbqc, angle_samples: int = 20, seed: int = 0,
@@ -466,10 +543,15 @@ def check_robust_deterministic(m: Mbqc, angle_samples: int = 20, seed: int = 0,
     earlier-measured same-axis Pauli vertices are only sound there.
 
     One stream of angle assignments over all measured vertices is drawn per
-    check; each truncation K is checked under that stream restricted to K.
-    The full pattern runs once, and each truncation that is a prefix of its
-    measurement sequence is read off that run where it pauses before the
-    next `M` (a command prefix; see the module docstring).  Every other
+    check, as an (A, m) array of radians (`_angle_stream`); each truncation
+    K is checked under that stream restricted to K, and `Angle`s are built
+    only for the assignment a failure names.  The eigenbases of all
+    measured qubits under all assignments come from one `_eigen_rows` call.
+    On a real open graph the test vectors, the bases and the run are
+    float64, otherwise complex128.  The full pattern runs once, and each
+    truncation that is a prefix of its measurement sequence is read off
+    that run where it pauses before the next `M` (a command prefix; see the
+    module docstring), grouped by branch without a copy.  Every other
     truncation, which exists only when the order is not total, runs as a
     filter of the pattern.  Truncations are checked in increasing mask
     order, all assignments at once; `checks` counts (truncation,
@@ -489,8 +571,8 @@ def check_robust_deterministic(m: Mbqc, angle_samples: int = 20, seed: int = 0,
     d_in = 1 << og.inputs.bit_count()
     columns = _test_vectors(d_in, real=True, seed=seed) if real_mode else np.eye(d_in)
     measured = sorted(og.labels)
-    assignments = _angle_assignments(m, measured, angle_samples, seed)
-    bases = _bases(full, assignments)
+    stream = _angle_stream(m, measured, angle_samples, seed)
+    bases = dict(zip(measured, _eigen_rows([og.labels[u] for u in measured], stream.T)))
     prefixes = _abort_points(full, columns, bases, capacity)
     prefix_masks = itertools.accumulate(
         (1 << cmd.qubit for cmd in full.commands if isinstance(cmd, Measure)),
@@ -500,13 +582,13 @@ def check_robust_deterministic(m: Mbqc, angle_samples: int = 20, seed: int = 0,
     for keep in _lowersets(measured, induced):
         mask = mask_of(keep)
         if mask == prefix:
-            out = next(prefixes)()[0]
+            out = next(prefixes)(grouped=True)[0]
             prefix = next(prefix_masks, None)
         else:
-            out = _run(_truncate(full, mask), columns, bases, capacity)[0]
-        failed = np.flatnonzero(_strong_failures(out, real_mode, tol))
+            out = _run(_truncate(full, mask), columns, bases, capacity, grouped=True)[0]
+        failed = _strong_failures(out, real_mode, tol).nonzero()[0]
         if failed.size:
-            angles = assignments[failed[0]]
+            angles = _assignment(m, measured, stream, int(failed[0]))
             return {
                 "ok": False,
                 "checks": checks + int(failed[0]) + 1,
@@ -516,5 +598,5 @@ def check_robust_deterministic(m: Mbqc, angle_samples: int = 20, seed: int = 0,
                     "real_inputs": real_mode,
                 },
             }
-        checks += len(assignments)
+        checks += len(stream)
     return {"ok": True, "checks": checks, "failure": None}

@@ -61,6 +61,55 @@ def relations(draw):
     return n, rows
 
 
+@st.composite
+def layered_covers(draw):
+    """Cover rows of a layered order over shuffled ids: each vertex of a
+    layer points to one of a few subsets of the next layer (the whole layer
+    first), so siblings share rows; sometimes a back edge closes a cycle."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=5))
+    n = sum(sizes)
+    ids = draw(st.permutations(range(n)))
+    layers, start = [], 0
+    for size in sizes:
+        layers.append(ids[start:start + size])
+        start += size
+    rows = [0] * n
+    for layer, above in zip(layers, layers[1:]):
+        choices = [sum(1 << v for v in above)]
+        choices += [sum(1 << v for v in draw(st.sets(st.sampled_from(above), min_size=1)))
+                    for _ in range(draw(st.integers(0, 2)))]
+        for u in layer:
+            rows[u] = draw(st.sampled_from(choices))
+    if len(layers) > 1 and draw(st.booleans()):
+        a = draw(st.sampled_from(layers[draw(st.integers(1, len(layers) - 1))]))
+        rows[a] |= 1 << draw(st.sampled_from(layers[0]))
+    return n, rows
+
+
+@st.composite
+def shared_row_relations(draw):
+    """A drawn relation (cycles and self-loops included) whose rows are then
+    copied onto other vertices."""
+    n, rows = draw(relations())
+    for _ in range(draw(st.integers(1, n))):
+        rows[draw(st.integers(0, n - 1))] = rows[draw(st.integers(0, n - 1))]
+    return n, rows
+
+
+def grid_open_graph(rows, cols):
+    """rows x cols cluster state, inputs the first column and outputs the last."""
+    def index(i, j):
+        return i * cols + j
+
+    edges = [(index(i, j), index(i, j + 1)) for i in range(rows) for j in range(cols - 1)]
+    edges += [(index(i, j), index(i + 1, j)) for i in range(rows - 1) for j in range(cols)]
+    return OpenGraph(Graph.from_edges(rows * cols, edges),
+                     sum(1 << index(i, 0) for i in range(rows)),
+                     sum(1 << index(i, cols - 1) for i in range(rows)),
+                     {index(i, j): MeasurementLabel.XY
+                      for i in range(rows) for j in range(cols - 1)})
+
+
 class TestPartialOrder:
     def test_from_pairs_closes_transitively(self):
         o = PartialOrder.from_pairs(3, [(0, 1), (1, 2)])
@@ -138,6 +187,31 @@ class TestPartialOrder:
                 PartialOrder._close(n, list(rows))
         else:
             assert PartialOrder._close(n, list(rows)).succ == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(layered_covers(), shared_row_relations()))
+    def test_shared_rows_close_like_warshall(self, relation):
+        """Vertices with equal relation rows share one closed row: on layered
+        cover documents (siblings share their cover row) and on relations
+        with copied rows, cycles included, the rows and cycle messages are
+        Warshall's."""
+        n, rows = relation
+        try:
+            expected = warshall(n, rows)
+        except ValueError as e:
+            with pytest.raises(CycleError, match=f"^{e}$"):
+                PartialOrder._close(n, list(rows))
+        else:
+            assert PartialOrder._close(n, list(rows)).succ == expected
+
+    def test_layered_cover_of_a_grid_flow(self):
+        """The cover rows of a 12x12 grid's layered flow order close to it."""
+        og = grid_open_graph(12, 12)
+        order = find_pauli_flow(og).flow.order
+        cover = [order.minimal(row) for row in order.succ]
+        assert len(set(cover)) < og.n // 2  # siblings share rows
+        assert PartialOrder._close(og.n, cover) == order
+        assert PartialOrder._close(og.n, cover).succ == warshall(og.n, cover)
 
     @pytest.mark.parametrize("order", [range(3000), range(2999, -1, -1),
                                        random.Random(3).sample(range(3000), 3000)],

@@ -131,6 +131,26 @@ def oracle_branches(pat):
     return results
 
 
+def reference_eigenpair(label, radians):
+    """(+1, -1) eigenvectors of one label at one angle, scalar by scalar:
+    Bloch vector, polar angles, then the first amplitude above 1e-12 made
+    real positive."""
+    c, s = math.cos(radians), math.sin(radians)
+    n = {MeasurementLabel.XY: (c, s, 0.0), MeasurementLabel.YZ: (0.0, c, s),
+         MeasurementLabel.XZ: (s, 0.0, c), MeasurementLabel.X: (c, 0.0, 0.0),
+         MeasurementLabel.Y: (0.0, c, 0.0), MeasurementLabel.Z: (0.0, 0.0, c)}[label]
+    theta = math.atan2(math.hypot(n[0], n[1]), n[2])
+    phi = math.atan2(n[1], n[0])
+    e = complex(math.cos(phi), math.sin(phi))
+    out = []
+    for v in ([math.cos(theta / 2), e * math.sin(theta / 2)],
+              [math.sin(theta / 2), -e * math.cos(theta / 2)]):
+        v = np.array(v, dtype=complex)
+        a = next(a for a in v if abs(a) > 1e-12)
+        out.append(v * (a.conjugate() / abs(a)))
+    return out
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -168,6 +188,41 @@ class TestEigenpair:
     def test_pauli_needs_exact_angle(self):
         with pytest.raises(ContractError):
             eigenpair(MeasurementLabel.Z, Angle.from_radians(0.5))
+
+    def test_stacked_bases_match_per_pair_reference(self):
+        """One `_eigen_rows` call over all labels and angles gives, within
+        1e-15, the per-pair reference's conjugated rows, at the phase-fix
+        corners (theta 0 or pi) too; the stack is real exactly when every
+        label is."""
+        rng = np.random.default_rng(17)
+        plane_angles = ([0, math.pi / 4, math.pi / 2, math.pi, 3 * math.pi / 2]
+                        + list(rng.uniform(0, 2 * math.pi, 20)))
+        labels, radians = [], []
+        for label in MeasurementLabel:
+            labels.append(label)
+            radians.append([0.0, math.pi] * 12 + [0.0] if label.is_pauli else plane_angles)
+        stack = statevec._eigen_rows(labels, np.array(radians))
+        assert stack.shape == (6, len(plane_angles), 2, 2) and stack.dtype == complex
+        for label, row, rows in zip(labels, radians, stack):
+            for angle, got in zip(row, rows):
+                expect = np.array(reference_eigenpair(label, angle)).conj()
+                assert np.abs(got - expect).max() <= 1e-15, (label, angle)
+        real = [lab for lab in labels if lab.is_real]
+        assert statevec._eigen_rows(real, np.array([[0.0, math.pi]] * 3)).dtype == np.float64
+
+    @pytest.mark.parametrize("label, angle", [
+        (MeasurementLabel.XZ, 0.0), (MeasurementLabel.XZ, math.pi),
+        (MeasurementLabel.YZ, math.pi / 2), (MeasurementLabel.YZ, 3 * math.pi / 2),
+        (MeasurementLabel.X, 0.0), (MeasurementLabel.X, math.pi),
+        (MeasurementLabel.Z, 0.0), (MeasurementLabel.Z, math.pi)])
+    def test_phase_fix_corners(self, label, angle):
+        """Where one amplitude vanishes the other is made real positive, as
+        the per-pair reference does."""
+        got = statevec._eigen_rows([label], np.array([[angle]]))[0, 0].conj()
+        for v, expect in zip(got, reference_eigenpair(label, angle)):
+            assert np.abs(v - expect).max() <= 1e-15
+            first = next(a for a in v if abs(a) > 1e-12)
+            assert abs(first.imag) < 1e-15 and first.real > 0
 
 
 class TestKnownPatterns:
@@ -715,6 +770,120 @@ def test_prefix_reads_equal_truncated_runs():
             assert np.array_equal(read()[0], expect)
             pauses += 1
         assert pauses == len(sequence) + 1
+
+
+def test_grouped_reads_permute_the_sorted_reads():
+    """`read(grouped=True)` is the sorted read up to an axis permutation:
+    the same branches in the same order, the rows big-endian over the live
+    qubits as listed, the columns before the branches."""
+    for m, order in prefix_cases():
+        full = _standard_pattern(m, measurement_order(m, order))
+        columns = _test_vectors(1 << m.og.inputs.bit_count(), real=m.og.is_real)
+        bases = _bases(full, _angle_assignments(m, sorted(m.og.labels), 2, 0))
+        for read in _abort_points(full, columns, bases, 12):
+            grouped, _, live = read(grouped=True)
+            sorted_read, _, keep = read()
+            n_asg, n_rows, n_cols, n_branch = grouped.shape
+            q = len(live)
+            perm = [0, q + 2] + [1 + live.index(u) for u in reversed(keep)] + [q + 1]
+            axes = np.transpose(grouped.reshape((n_asg,) + (2,) * q + (n_cols, n_branch)), perm)
+            assert np.array_equal(axes.reshape(n_asg, n_branch, n_rows, n_cols), sorted_read)
+
+
+def test_dtype_follows_the_graph():
+    """The run of a pattern whose labels are all real (X, Z, XZ) is float64,
+    any other run complex128, and so are the branch states."""
+    cases = random_patterns(40, seed=61)
+    assert {m.og.is_real for m, _, _ in cases} == {True, False}
+    for m, pat, _ in cases:
+        cols = _test_vectors(1 << pat.inputs.bit_count(), real=True)
+        out = _run(pat, cols, _bases(pat, [{}]), 12)[0]
+        assert out.dtype == (np.float64 if m.og.is_real else np.complex128)
+        assert run_pattern(pat)[0].state.dtype == out.dtype
+        assert run_pattern(pat, input_state=cols + 0j)[0].state.dtype == np.complex128
+
+
+def robust_real_corpus():
+    """Criterion 5/6's bipartite real pool with synthesized strategies under
+    the completed order, and one-target mutants of them."""
+    from test_acceptance import bipartite_flow_pool
+    rng = random.Random(62)
+    cases = []
+    for i, (og, flow) in enumerate(bipartite_flow_pool()):
+        angles = {u: (PI_ANGLE if rng.random() < 0.5 else ZERO_ANGLE) if lab.is_pauli
+                  else Angle.from_radians(rng.uniform(0, 2 * math.pi))
+                  for u, lab in sorted(og.labels.items())}
+        m = Mbqc(og, angles, synthesize_corrections(og, flow))
+        order = completed_order(og, flow)
+        cases += [(mbqc, order, i) for mbqc in [m] + one_target_mutants(m, rng, 1)]
+    return cases
+
+
+def test_real_runs_report_as_complex_runs(monkeypatch):
+    """On real graphs the float64 check reports what the same check with
+    its test vectors and bases cast to complex128 reports."""
+    cases = robust_real_corpus()
+    assert all(m.og.is_real for m, _, _ in cases)
+
+    def check_all():
+        return [report_or_error(check_robust_deterministic, m, angle_samples=2, seed=seed,
+                                order=order) for m, order, seed in cases]
+
+    def as_complex(f):
+        return lambda *args, **kw: f(*args, **kw).astype(complex)
+
+    real = check_all()
+    for name in ("_eigen_rows", "_test_vectors"):
+        monkeypatch.setattr(statevec, name, as_complex(getattr(statevec, name)))
+    assert check_all() == real
+    assert any(isinstance(r, dict) and not r["ok"] for r in real)
+    assert any(isinstance(r, dict) and r["ok"] for r in real)
+
+
+# Failures at a random draw of the angle stream (assignment 5 + i is the
+# i-th draw, 8 assignments per truncation), recorded from the check that
+# built Angle dicts per assignment: one-target mutants of synthesized
+# strategies, every angle 0, so that the grid rows all pass.
+PINNED_FAILURES = [
+    ((881, 6, 3, "x", 0), {
+        "ok": False, "checks": 38, "failure": {
+            "measured": ["1", "2", "3", "5"],
+            "angles": {"1": "0", "2": "4.765013603408047", "3": "3.52885534397384",
+                       "5": "0"},
+            "real_inputs": True}}),
+    ((8095, 7, 5, "x", 3), {
+        "ok": False, "checks": 38, "failure": {
+            "measured": ["0", "1", "4", "5"],
+            "angles": {"0": "0", "1": "0", "4": "3.1986642145886766",
+                       "5": "1.174833493358677"},
+            "real_inputs": False}}),
+    ((17163, 7, 5, "z", 1), {
+        "ok": False, "checks": 38, "failure": {
+            "measured": ["0", "2", "3", "5"],
+            "angles": {"0": "1/1 pi", "2": "4.723155854785785", "3": "0",
+                       "5": "2.527293926890624"},
+            "real_inputs": False}}),
+]
+
+
+@pytest.mark.parametrize("case, expect", PINNED_FAILURES, ids=["real", "complex", "pauli-pi"])
+def test_pinned_failures_at_random_draws(case, expect):
+    """The angle stream, drawn as an array, and the report's angle strings,
+    built only for the failing assignment, are byte for byte the reports of
+    Angle dicts drawn per assignment."""
+    seed, n, u, side, v = case
+    og = generate_instance(InstanceSpec(n=n, seed=seed, n_inputs=1, n_outputs=2,
+                                        edge_probability=0.5, reject_input_z=True))
+    flow = find_pauli_flow(og).flow
+    strategy = synthesize_corrections(og, flow)
+    x, z = dict(strategy.x), dict(strategy.z)
+    (x if side == "x" else z)[u] ^= 1 << v
+    m = Mbqc(og, {w: ZERO_ANGLE for w in og.labels}, CorrectionStrategy(x, z))
+    rep = check_robust_deterministic(m, angle_samples=3, seed=seed,
+                                     order=completed_order(og, flow))
+    assert (rep["checks"] - 1) % 8 >= 5  # a random draw
+    assert rep["failure"]["real_inputs"] == og.is_real
+    assert rep == expect
 
 
 @pytest.fixture
