@@ -9,6 +9,7 @@ error.  Reports are JSON with --json, human text otherwise.  Only `check` and
 from __future__ import annotations
 
 import json
+import math
 import sys
 from importlib import resources
 from typing import Dict, Optional
@@ -60,6 +61,18 @@ def _report(doc: dict, as_json: bool, text: str):
         click.echo(json.dumps(doc, indent=2))
     else:
         click.echo(text)
+
+
+def _require_options(samples: int, seed: int, tolerance: float = 0.0):
+    """Exit with code 2 on a negative `--samples` or `--seed` and on a
+    `--tolerance` that is not a finite value >= 0: a negative count would
+    silently draw no samples, numpy's generators reject a negative seed,
+    and a nan or infinite tolerance passes every test, a negative one none."""
+    for name, value in (("--samples", samples), ("--seed", seed)):
+        if value < 0:
+            _fail_parse(f"{name}: expected an integer >= 0, got {value}")
+    if not math.isfinite(tolerance) or tolerance < 0:
+        _fail_parse(f"--tolerance: expected a finite value >= 0, got {tolerance}")
 
 
 def _pattern_measurement_order(pat) -> PartialOrder:
@@ -160,6 +173,7 @@ def cmd_synthesize(graph_file, angle_opts, output):
 @click.option("--json", "as_json", is_flag=True)
 def cmd_check(pattern_file, level, samples, seed, tolerance, as_json):
     """Determinism check of a pattern at the chosen strictness."""
+    _require_options(samples, seed, tolerance)
     from .statevec import (check_deterministic, check_robust_deterministic,
                            check_strong_deterministic)
     pat = _load(pattern_file,
@@ -243,6 +257,7 @@ def cmd_counterexamples(samples, seed, as_json):
     that measures vertex 1 before vertex 2, yet an (incompatibly ordered)
     flow does exist.
     """
+    _require_options(samples, seed)
     from .statevec import check_robust_deterministic
     report = []
     ok_all = True

@@ -13,13 +13,13 @@ measurement-angle assignments, at once.  Its tensor has these axes, in order:
 moves u's axis last and contracts it, in one batched matmul, with the
 (A, 2, 2) stack of conjugated (+, -) eigenvectors; the contracted axis,
 now last, is u's outcome axis.  `X`/`Z` with signal s flip u's axis, or the
-sign of its 1 slice, on the slice where s's outcome is 1.  The sorted read
-of the result, (A, 2^k, 2^{|O|}, cols), holds every branch map A_s as a
-2^{|O|} x cols matrix, one per outcome string s in lexicographic
-measurement order; row and column indices are little-endian over the
-sorted qubit ids.  The grouped read, (A, 2^{|O|}, cols, 2^k), is the
-tensor itself reshaped: the same branches in the same order, last, and
-the rows big-endian over the live axes in their own order.
+sign of its 1 slice, on the slice where s's outcome is 1.  The engine
+reads the tensor in one layout, itself reshaped with no copy to
+(A, 2^q, cols, 2^k): rows big-endian over the q live qubits in their axis
+order, then the input columns, then every branch map A_s, one per outcome
+string s in lexicographic measurement order.  Only `run_pattern` sorts
+the rows, little-endian over the sorted qubit ids, for the branch states
+it returns.
 
 The dtype follows the inputs: the tensor is float64 when the input columns
 and every eigenbasis are real, complex128 otherwise.  The real labels X, Z
@@ -67,16 +67,12 @@ truncation contracts only with the rows of its own measured qubits; K is
 checked under that stream restricted to K.  The stream is an (A, m) array
 of radians, and one `_eigen_rows` call turns all of it into eigenbases.
 
-Each truncation's strong test reads the grouped tensor, not the sorted
-one, so it pays no transpose copy.  What that keeps: branch 0, the
-reference, is the all-zero outcome string in both layouts; the other
-branches and the entries of each branch only change order.  The
-complex-input test compares entries one by one and reduces with `any`,
-which order does not change; the only possible difference is the pivot,
-the first largest entry of branch 0 in the layout's order, when several
-entries have the same magnitude.  The real-input test sums over the rows
-of each column, and in the grouped layout adds the same terms in another
-order, so its norms and inner products may differ in rounding.
+The determinism tests read each branch's rows in the run's own order;
+branch 0 is the all-zero outcome string.  The complex-input strong test
+compares entries one by one and reduces with `any`, so the row order
+matters to it only through its pivot, the first largest entry of branch 0
+when several entries have the same magnitude; the other tests sum over
+the rows of each column in that order.
 """
 
 
@@ -86,7 +82,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -163,37 +159,28 @@ def eigenpair(label: MeasurementLabel, angle: Angle) -> Tuple[np.ndarray, np.nda
     return plus, minus
 
 
-def _bases(pat: Pattern, assignments: Sequence[Dict[int, Angle]]) -> Dict[int, np.ndarray]:
-    """(A, 2, 2) conjugated (+, -) eigenvector rows of every measured qubit,
-    one slice per angle assignment (the pattern's own angles where the
-    assignment does not name the qubit)."""
+def _bases(pat: Pattern) -> Dict[int, np.ndarray]:
+    """(1, 2, 2) conjugated (+, -) eigenvector rows of every measured qubit
+    at the pattern's own angle."""
     measures = [cmd for cmd in pat.commands if isinstance(cmd, Measure)]
-    radians = [[_radians(cmd.label, asg.get(cmd.qubit, cmd.angle)) for asg in assignments]
-               for cmd in measures]
+    radians = [_radians(cmd.label, cmd.angle) for cmd in measures]
     stack = _eigen_rows([cmd.label for cmd in measures],
-                        np.reshape(radians, (len(measures), len(assignments))))
+                        np.reshape(radians, (len(measures), 1)))
     return dict(zip((cmd.qubit for cmd in measures), stack))
 
 
 def _abort_points(pat: Pattern, columns: np.ndarray, bases: Dict[int, np.ndarray],
-                  capacity: int, keep_measured: bool = False
-                  ) -> Iterator[Callable[..., Tuple[np.ndarray, List[int], Tuple[int, ...]]]]:
+                  capacity: int) -> Iterator[Tuple[np.ndarray, List[int], Tuple[int, ...]]]:
     """Run a valid pattern on every branch and every angle assignment,
     pausing before each `M` and at the end.
 
     `columns` is the 2^{|I|} x d input matrix and `bases[u]` the (A, 2, 2)
     stack of conjugated eigenvector rows of measured qubit u; the tensor
     takes their common dtype, float64 when both are real.  Each pause
-    yields a reader of the run so far: it returns the (A, 2^k, 2^q, d)
-    tensor of branch maps, the measurement order and the q sorted qubit ids
-    of the rows, as `_run` returns them for the pattern cut at that point.
-    `read(grouped=True)` returns instead the run's own tensor reshaped to
-    (A, 2^q, d, 2^k), with no copy, and the live qubits in place of the
-    sorted ids: rows big-endian over the live qubits as listed, branches in
-    the same order as the sorted read's.  Call a reader before resuming:
-    `E`, `X` and `Z` write the tensor in place, and its tensor may be a
-    view of it.  With `keep_measured` each measured qubit is tensored back
-    on in its outcome's eigenstate before the last pause.
+    yields the run's own tensor reshaped, with no copy, to (A, 2^q, d, 2^k),
+    the measurement order and the q live qubits: rows big-endian over the
+    live qubits as listed, branches in lexicographic measurement order.
+    Read it before resuming: `E`, `X` and `Z` write the tensor in place.
     """
     def require_width(width: int) -> None:
         if width > capacity:
@@ -215,15 +202,8 @@ def _abort_points(pat: Pattern, columns: np.ndarray, bases: Dict[int, np.ndarray
     def qubit_axis(q: int) -> int:
         return 1 + live.index(q)
 
-    def read(grouped: bool = False) -> Tuple[np.ndarray, List[int], Tuple[int, ...]]:
-        k = len(order)
-        if grouped:
-            return t.reshape((t.shape[0], 1 << len(live), ncols, 1 << k)), order, tuple(live)
-        keep = tuple(sorted(live))
-        perm = ([0] + list(range(2 + len(live), t.ndim))
-                + [qubit_axis(q) for q in reversed(keep)] + [1 + len(live)])
-        return (np.transpose(t, perm).reshape((t.shape[0], 1 << k, 1 << len(keep), ncols)),
-                order, keep)
+    def pause() -> Tuple[np.ndarray, List[int], Tuple[int, ...]]:
+        return t.reshape((t.shape[0], 1 << len(live), ncols, 1 << len(order))), order, tuple(live)
 
     for cmd in pat.commands:
         idx = [slice(None)] * t.ndim
@@ -235,7 +215,7 @@ def _abort_points(pat: Pattern, columns: np.ndarray, bases: Dict[int, np.ndarray
             idx[qubit_axis(cmd.a)] = idx[qubit_axis(cmd.b)] = 1
             t[tuple(idx)] *= -1
         elif isinstance(cmd, Measure):
-            yield read
+            yield pause()
             ax = qubit_axis(cmd.qubit)
             t = t.transpose([*range(ax), *range(ax + 1, t.ndim), ax])  # u's axis last
             shape = t.shape
@@ -245,34 +225,21 @@ def _abort_points(pat: Pattern, columns: np.ndarray, bases: Dict[int, np.ndarray
             order.append(cmd.qubit)
         elif isinstance(cmd, CorrectX):
             idx[outcome_axis(cmd.signal)] = 1
-            idx[qubit_axis(cmd.qubit)] = 0
-            lo = tuple(idx)
-            idx[qubit_axis(cmd.qubit)] = 1
-            hi = tuple(idx)
-            flipped = t[hi].copy()
-            t[hi] = t[lo]
-            t[lo] = flipped
+            sl = tuple(idx)
+            t[sl] = np.flip(t[sl], qubit_axis(cmd.qubit))
         elif isinstance(cmd, CorrectZ):
             idx[outcome_axis(cmd.signal)] = 1
             idx[qubit_axis(cmd.qubit)] = 1
             t[tuple(idx)] *= -1
-    if keep_measured:
-        for u in order:
-            shape = [1] * (t.ndim + 1)
-            shape[0] = bases[u].shape[0]
-            shape[1] = shape[1 + outcome_axis(u)] = 2
-            t = t[:, None] * bases[u].conj().swapaxes(1, 2).reshape(shape)
-            live.insert(0, u)
-    yield read
+    yield pause()
 
 
 def _run(pat: Pattern, columns: np.ndarray, bases: Dict[int, np.ndarray],
-         capacity: int, keep_measured: bool = False, grouped: bool = False
-         ) -> Tuple[np.ndarray, List[int], Tuple[int, ...]]:
-    """The whole run of `_abort_points`: its last reader, read."""
-    for read in _abort_points(pat, columns, bases, capacity, keep_measured):
+         capacity: int) -> Tuple[np.ndarray, List[int], Tuple[int, ...]]:
+    """The whole run of `_abort_points`: its last pause."""
+    for end in _abort_points(pat, columns, bases, capacity):
         pass
-    return read(grouped)
+    return end
 
 
 @dataclass
@@ -288,12 +255,6 @@ class Branch:
     @property
     def key(self) -> Tuple[int, ...]:
         return tuple(self.outcomes[u] for u in self.order)
-
-
-def _branch_tensor(pat: Pattern, columns: np.ndarray, capacity: int) -> np.ndarray:
-    """(2^k, 2^{|O|}, cols) branch maps of a pattern at its own angles."""
-    _require_valid(pat)
-    return _run(pat, columns, _bases(pat, [{}]), capacity)[0][0]
 
 
 def run_pattern(
@@ -325,11 +286,22 @@ def run_pattern(
             raise ContractError(
                 f"input state must have 2**{pat.inputs.bit_count()} rows, "
                 f"got {input_state.shape[0]}")
-    t, order, qubits = _run(pat, input_state, _bases(pat, [{}]), capacity,
-                            keep_measured)
-    keys = itertools.product((0, 1), repeat=len(order))
+    bases = _bases(pat)
+    t, order, live = _run(pat, input_state, bases, capacity)
+    k, live = len(order), list(live)
+    t = t[0].reshape((2,) * len(live) + (-1,) + (2,) * k)  # qubits, columns, outcomes
+    if keep_measured:  # each measured qubit in its outcome's eigenstate
+        for i, u in enumerate(order):
+            shape = [1] * (t.ndim + 1)
+            shape[0] = shape[i - k] = 2
+            t = t[None] * bases[u][0].conj().T.reshape(shape)
+            live.insert(0, u)
+    qubits = tuple(sorted(live))
+    perm = [*range(len(live) + 1, t.ndim), *map(live.index, reversed(qubits)), len(live)]
+    states = t.transpose(perm).reshape(1 << k, 1 << len(qubits), -1)
+    keys = itertools.product((0, 1), repeat=k)
     return [Branch(dict(zip(order, key)), tuple(order), qubits, state)
-            for key, state in zip(keys, t[0])]
+            for key, state in zip(keys, states)]
 
 
 def branch_map(pat: Pattern, capacity: int = DEFAULT_CAPACITY) -> Dict[Tuple[int, ...], np.ndarray]:
@@ -373,18 +345,20 @@ def check_deterministic(pat: Pattern, tol: float = DEFAULT_TOL, seed: int = 0,
     Each input column is compared with a branch that is nonzero on it, so a
     zero-probability branch never stands in as the reference.
     """
+    _require_valid(pat)
     d_in = 1 << pat.inputs.bit_count()
-    out = _branch_tensor(pat, _test_vectors(d_in, real=False, seed=seed), capacity)
-    norms = np.linalg.norm(out, axis=1)  # (branches, cols)
-    ref = np.argmax(norms > tol, axis=0)  # per column
-    cols = np.arange(out.shape[2])
-    inner = np.abs(np.sum(out[ref, :, cols].T.conj() * out, axis=1))
-    return bool(_proportional(inner, norms[ref, cols], norms, tol).all())
+    columns = _test_vectors(d_in, real=False, seed=seed)
+    out = _run(pat, columns, _bases(pat), capacity)[0][0]  # (rows, cols, branches)
+    norms = np.linalg.norm(out, axis=0)  # (cols, branches)
+    cols = np.arange(out.shape[1])
+    ref = np.argmax(norms > tol, axis=1)  # a nonzero branch per column
+    inner = np.abs(np.sum(out[:, cols, ref, None].conj() * out, axis=0))
+    return bool(_proportional(inner, norms[cols, ref, None], norms, tol).all())
 
 
 def _strong_failures(out: np.ndarray, real_inputs: bool, tol: float) -> np.ndarray:
     """Per angle assignment of an (A, rows, cols, branches) tensor, as
-    `read(grouped=True)` gives it: True where its branches are not strongly
+    `_abort_points` yields it: True where its branches are not strongly
     deterministic (see check_strong_deterministic).  Branch 0, the
     reference, is the all-zero outcome string.
 
@@ -439,7 +413,7 @@ def check_strong_deterministic(pat: Pattern, tol: float = DEFAULT_TOL,
     _require_valid(pat)
     d_in = 1 << pat.inputs.bit_count()
     columns = _test_vectors(d_in, real=True, seed=seed) if real_inputs else np.eye(d_in)
-    out = _run(pat, columns, _bases(pat, [{}]), capacity, grouped=True)[0]
+    out = _run(pat, columns, _bases(pat), capacity)[0]
     return not _strong_failures(out, real_inputs, tol)[0]
 
 
@@ -523,13 +497,6 @@ def _assignment(m: Mbqc, measured: Sequence[int], stream: np.ndarray,
     return out
 
 
-def _angle_assignments(m: Mbqc, measured: Sequence[int], samples: int,
-                       seed: int) -> List[Dict[int, Angle]]:
-    """Every row of the angle stream as `Angle`s."""
-    stream = _angle_stream(m, measured, samples, seed)
-    return [_assignment(m, measured, stream, row) for row in range(len(stream))]
-
-
 def check_robust_deterministic(m: Mbqc, angle_samples: int = 20, seed: int = 0,
                                tol: float = DEFAULT_TOL,
                                capacity: int = DEFAULT_CAPACITY,
@@ -551,7 +518,7 @@ def check_robust_deterministic(m: Mbqc, angle_samples: int = 20, seed: int = 0,
     float64, otherwise complex128.  The full pattern runs once, and each
     truncation that is a prefix of its measurement sequence is read off
     that run where it pauses before the next `M` (a command prefix; see the
-    module docstring), grouped by branch without a copy.  Every other
+    module docstring), as the run's own tensor without a copy.  Every other
     truncation, which exists only when the order is not total, runs as a
     filter of the pattern.  Truncations are checked in increasing mask
     order, all assignments at once; `checks` counts (truncation,
@@ -582,10 +549,10 @@ def check_robust_deterministic(m: Mbqc, angle_samples: int = 20, seed: int = 0,
     for keep in _lowersets(measured, induced):
         mask = mask_of(keep)
         if mask == prefix:
-            out = next(prefixes)(grouped=True)[0]
+            out = next(prefixes)[0]
             prefix = next(prefix_masks, None)
         else:
-            out = _run(_truncate(full, mask), columns, bases, capacity, grouped=True)[0]
+            out = _run(_truncate(full, mask), columns, bases, capacity)[0]
         failed = _strong_failures(out, real_mode, tol).nonzero()[0]
         if failed.size:
             angles = _assignment(m, measured, stream, int(failed[0]))

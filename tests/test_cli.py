@@ -135,6 +135,20 @@ class TestSynthesize:
         assert res.exit_code == 1
 
 
+def uncorrected_pattern(runner, tmp_path):
+    """The README walkthrough's synthesized pattern with every correction
+    deleted, which fails every check level."""
+    graph, pat = tmp_path / "graph.json", tmp_path / "pattern.mcpat"
+    res = runner.invoke(main, ["generate", "--n", "6", "--seed", "3", "--inputs", "1",
+                               "--outputs", "2", "-o", str(graph)])
+    assert res.exit_code == 0, res.output
+    assert runner.invoke(main, ["synthesize", str(graph), "-o", str(pat)]).exit_code == 0
+    bare = tmp_path / "bare.mcpat"
+    bare.write_text("".join(line for line in pat.read_text().splitlines(True)
+                            if line[0] not in "XZ"))
+    return str(bare)
+
+
 class TestCheck:
     def test_uncorrected_fails_robust(self, runner, tmp_path):
         p = tmp_path / "bare.mcpat"
@@ -145,6 +159,22 @@ class TestCheck:
         assert res.exit_code == 1
         doc = json.loads(res.output)
         assert doc["ok"] is False and doc["failure"] is not None
+
+    @pytest.mark.parametrize("level", ["det", "strong", "robust"])
+    def test_tolerance_and_samples_checked(self, runner, tmp_path, level):
+        """A nan or infinite tolerance would pass the uncorrected pattern,
+        since every comparison with it is False, a negative one would fail
+        every pattern, and a negative seed raised in numpy: each exits 2
+        with one error line."""
+        bare = uncorrected_pattern(runner, tmp_path)
+        res = runner.invoke(main, ["check", bare, "--level", level, "--samples", "3"])
+        assert res.exit_code == 1 and res.output == f"{level}: FAIL\n"
+        for opt in (["--tolerance", "nan"], ["--tolerance", "inf"],
+                    ["--tolerance", "-1e-9"], ["--samples", "-1"], ["--seed", "-1"]):
+            res = runner.invoke(main, ["check", bare, "--level", level, *opt])
+            assert res.exit_code == 2, (opt, res.output)
+            assert res.output.startswith(f"error: {opt[0]}: ")
+            assert res.output.count("\n") == 1
 
     def test_det_level(self, runner, tmp_path):
         p = tmp_path / "det.mcpat"
@@ -248,6 +278,12 @@ class TestCounterexamples:
         assert len(doc["instances"]) == 2
         for entry in doc["instances"]:
             assert all(entry["legs"].values())
+
+    @pytest.mark.parametrize("option", ["--samples", "--seed"])
+    def test_negative_count_exit_2(self, runner, option):
+        res = runner.invoke(main, ["counterexamples", option, "-1"])
+        assert res.exit_code == 2
+        assert res.output == f"error: {option}: expected an integer >= 0, got -1\n"
 
 
 class TestGenerate:

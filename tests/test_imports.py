@@ -34,6 +34,22 @@ def test_no_unused_imports(path):
     assert sorted(set(imported_names(tree)) - used) == []
 
 
+def test_private_helpers_are_used_in_the_package():
+    """Every underscore-prefixed module-level function or class is referenced
+    in the package outside its own definition: a helper only tests call
+    lives in the tests."""
+    private, refs = [], {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for i, stmt in enumerate(ast.parse(path.read_text()).body):
+            if (isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+                    and stmt.name.startswith("_") and not stmt.name.endswith("__")):
+                private.append((stmt.name, (path.name, i)))
+            for node in ast.walk(stmt):
+                name = getattr(node, "id", None) or getattr(node, "attr", None)
+                refs.setdefault(name, set()).add((path.name, i))
+    assert [name for name, where in private if not refs.get(name, set()) - {where}] == []
+
+
 def module_level_imports(path):
     """Every part of every dotted name that a module-level import names."""
     for node in ast.parse(path.read_text()).body:

@@ -24,8 +24,8 @@ from mbqcflow.patterns import (Angle, CorrectX, CorrectZ, Entangle, Mbqc,
                                _standard_pattern, measurement_order, parse,
                                print_pattern, to_pattern, validate)
 from mbqcflow.search import find_pauli_flow, find_pauli_flow_bruteforce
-from mbqcflow.statevec import (_abort_points, _angle_assignments, _bases,
-                               _lowersets, _run, _test_vectors, _truncate,
+from mbqcflow.statevec import (_abort_points, _angle_stream, _assignment, _bases,
+                               _eigen_rows, _lowersets, _run, _test_vectors, _truncate,
                                branch_map, branches_complete, check_deterministic,
                                check_robust_deterministic,
                                check_strong_deterministic, eigenpair,
@@ -504,6 +504,39 @@ class TestCapacity:
         assert rep["checks"] == 13 * 8
 
 
+def reference_deterministic(pat, tol, seed):
+    """Per input column: the first branch with norm above tol is the
+    reference, and every branch is proportional to it."""
+    maps = oracle_branches(pat)
+    measured = [c.qubit for c in pat.commands if isinstance(c, Measure)]
+    tests = _test_vectors(1 << pat.inputs.bit_count(), real=False, seed=seed)
+    states = [maps[k] @ tests for k in sorted(
+        maps, key=lambda k: tuple(dict(k)[u] for u in measured))]
+    for j in range(tests.shape[1]):
+        ref = next((s[:, j] for s in states if np.linalg.norm(s[:, j]) > tol), None)
+        if ref is not None and not all(reference_proportional(ref, s[:, j], tol)
+                                       for s in states):
+            return False
+    return True
+
+
+def test_deterministic_matches_reference():
+    """`check_deterministic` gives the per-column verdict of the oracle's
+    branch maps on the oracle corpora and one-target mutants of them."""
+    rng = random.Random(71)
+    pats = [parse(text) for text in NON_STANDARD + ZERO_BRANCHES]
+    for count, seed in ((30, 21), (10, 22), (6, 32), (6, 33)):
+        for m, pat, _ in random_patterns(count, seed=seed):
+            pats.append(pat)
+            pats += [to_pattern(mut) for mut in one_target_mutants(m, rng, 2)]
+    verdicts = []
+    for i, pat in enumerate(pats):
+        got = check_deterministic(pat, seed=i)
+        assert got == reference_deterministic(pat, 1e-9, i), print_pattern(pat)
+        verdicts.append(got)
+    assert True in verdicts and False in verdicts
+
+
 class TestImplications:
     def test_strong_implies_deterministic(self):
         for _, pat, _ in random_patterns(10, seed=23):
@@ -619,7 +652,7 @@ def reference_robust(m, angle_samples, seed, tol, order):
     checks = 0
     induced = measurement_order(m, order)
     full = to_pattern(m, order)
-    stream = _angle_assignments(m, sorted(og.labels), angle_samples, seed)
+    stream = angle_rows(m, angle_samples, seed)
     for keep in reference_lowersets(sorted(og.labels), induced):
         sub_og = OpenGraph(og.graph, og.inputs, og.outputs | (og.measured & ~mask_of(keep)),
                            {u: og.labels[u] for u in keep}, og.names)
@@ -646,6 +679,21 @@ def reference_robust(m, angle_samples, seed, tol, order):
                     },
                 }
     return {"ok": True, "checks": checks, "failure": None}
+
+
+def angle_rows(m, samples, seed):
+    """Every row of the angle stream over all measured vertices as `Angle`s."""
+    measured = sorted(m.og.labels)
+    stream = _angle_stream(m, measured, samples, seed)
+    return [_assignment(m, measured, stream, row) for row in range(len(stream))]
+
+
+def stream_bases(m, samples, seed):
+    """The eigenbases of every measured vertex under the angle stream, as
+    the robustness check builds them."""
+    measured = sorted(m.og.labels)
+    stream = _angle_stream(m, measured, samples, seed)
+    return dict(zip(measured, _eigen_rows([m.og.labels[u] for u in measured], stream.T)))
 
 
 def report_or_error(check, m, **kw):
@@ -762,32 +810,40 @@ def test_prefix_reads_equal_truncated_runs():
         d_in = 1 << m.og.inputs.bit_count()
         columns = (_test_vectors(d_in, real=True, seed=0) if m.og.is_real
                    else np.eye(d_in))
-        bases = _bases(full, _angle_assignments(m, sorted(m.og.labels), 2, 0))
+        bases = stream_bases(m, 2, 0)
         sequence = [c.qubit for c in full.commands if isinstance(c, Measure)]
         pauses = 0
-        for j, read in enumerate(_abort_points(full, columns, bases, 12)):
+        for j, (out, _, _) in enumerate(_abort_points(full, columns, bases, 12)):
             expect = _run(_truncate(full, mask_of(sequence[:j])), columns, bases, 12)[0]
-            assert np.array_equal(read()[0], expect)
+            assert np.array_equal(out, expect)
             pauses += 1
         assert pauses == len(sequence) + 1
 
 
-def test_grouped_reads_permute_the_sorted_reads():
-    """`read(grouped=True)` is the sorted read up to an axis permutation:
-    the same branches in the same order, the rows big-endian over the live
-    qubits as listed, the columns before the branches."""
+def test_pauses_permute_the_truncations_branch_states():
+    """Slice 0 of each pause, the Mbqc's own angles, holds `run_pattern`'s
+    branch states of the truncation to the measurements before it, up to an
+    axis permutation: the same branches in the same order, the rows
+    big-endian over the live qubits as listed, the columns before the
+    branches."""
     for m, order in prefix_cases():
         full = _standard_pattern(m, measurement_order(m, order))
         columns = _test_vectors(1 << m.og.inputs.bit_count(), real=m.og.is_real)
-        bases = _bases(full, _angle_assignments(m, sorted(m.og.labels), 2, 0))
-        for read in _abort_points(full, columns, bases, 12):
-            grouped, _, live = read(grouped=True)
-            sorted_read, _, keep = read()
-            n_asg, n_rows, n_cols, n_branch = grouped.shape
+        bases = stream_bases(m, 2, 0)
+        sequence = [c.qubit for c in full.commands if isinstance(c, Measure)]
+        for j, (out, _, live) in enumerate(_abort_points(full, columns, bases, 12)):
+            branches = run_pattern(_truncate(full, mask_of(sequence[:j])), input_state=columns)
+            keep = branches[0].qubits
+            _, n_rows, n_cols, n_branch = out.shape
             q = len(live)
-            perm = [0, q + 2] + [1 + live.index(u) for u in reversed(keep)] + [q + 1]
-            axes = np.transpose(grouped.reshape((n_asg,) + (2,) * q + (n_cols, n_branch)), perm)
-            assert np.array_equal(axes.reshape(n_asg, n_branch, n_rows, n_cols), sorted_read)
+            perm = [q + 1] + [live.index(u) for u in reversed(keep)] + [q]
+            axes = np.transpose(out[0].reshape((2,) * q + (n_cols, n_branch)), perm)
+            got, expect = axes.reshape(n_branch, n_rows, n_cols), [b.state for b in branches]
+            labels = [m.og.labels[u] for u in sequence[:j]]
+            if m.og.is_real or not all(lab.is_real for lab in labels):
+                assert np.array_equal(got, expect)
+            else:  # a complex stream gives real labels' rows sin(pi)'s 1e-16 rounding
+                assert np.allclose(got, expect, rtol=0, atol=1e-15)
 
 
 def test_dtype_follows_the_graph():
@@ -797,7 +853,7 @@ def test_dtype_follows_the_graph():
     assert {m.og.is_real for m, _, _ in cases} == {True, False}
     for m, pat, _ in cases:
         cols = _test_vectors(1 << pat.inputs.bit_count(), real=True)
-        out = _run(pat, cols, _bases(pat, [{}]), 12)[0]
+        out = _run(pat, cols, _bases(pat), 12)[0]
         assert out.dtype == (np.float64 if m.og.is_real else np.complex128)
         assert run_pattern(pat)[0].state.dtype == out.dtype
         assert run_pattern(pat, input_state=cols + 0j)[0].state.dtype == np.complex128
@@ -935,7 +991,7 @@ def test_failure_at_a_sampled_assignment(monkeypatch, total):
     lowersets = reference_lowersets(sorted(m.og.labels), measurement_order(m, order))
     assert (len(lowersets) == len(m.og.labels) + 1) == total
     samples, seed, hit = 3, 5, 6  # assignment 6 is the second random draw
-    stream = _angle_assignments(m, sorted(m.og.labels), samples, seed)
+    stream = angle_rows(m, samples, seed)
     strong_failures = statevec._strong_failures
     targets = (1, len(lowersets) // 2, len(lowersets) - 1)
     full = _standard_pattern(m, measurement_order(m, order))
