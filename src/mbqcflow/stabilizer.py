@@ -12,22 +12,30 @@ X/Z masks, and collapse and correction change only signs, so every branch
 has the same X/Z structure: an outcome is random in all branches or
 determined in all.  Each generator's sign is then an affine GF(2) form in the
 outcome bits: collapse gives the pivot its outcome bit, a product XORs its
-factors' forms (its phase adds a structure-only constant), and a correction
-on outcome 1 adds the bit to each generator it anticommutes with.  The
-output subgroup's signed group is fixed by the signs of a basis of supported
-combinations, and every outcome vector occurs, so that group is the same in
-every branch iff each basis combination's form is 0.  The branch-exact runs
-it is checked against, one state per branch, live with the tests
-(`tests/oracles.py`).
+factors' forms, and a correction on outcome 1 adds the bit to each generator
+it anticommutes with.  Only the forms' linear parts can differ between
+branches, so phases and constant parts are dropped.  The probe keeps this
+tableau by qubit, as columns over the generator indices (the column layout
+of Aaronson & Gottesman): xcol[b] and zcol[b] hold the generators with X and
+with Z on qubit b, and fcol[v] those whose form holds outcome bit v.  The
+generators anticommuting with X_u are zcol[u], those anticommuting with Z_u
+are xcol[u], and a correction's are the XOR of zcol over its X targets and
+xcol over its Z targets.  The products supported on the outputs are the
+index sets orthogonal to every xcol[b] and zcol[b] off the outputs; every
+outcome vector occurs, so the output group's signs are the same in every
+branch iff each of their forms is 0, that is iff each fcol[v] lies in the
+row space of those columns (the orthogonal complement of that set).  The
+branch-exact runs it is checked against, one state per branch, live with
+the tests (`tests/oracles.py`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import ContractError
-from .gf2 import mask_of, members, rank, solve
+from .gf2 import echelon, mask_of, members, rank
 from .graphs import MeasurementLabel, OpenGraph
 from .patterns import Angle, Mbqc, measurement_linearization
 
@@ -148,91 +156,83 @@ def initial_stabilizers(og: OpenGraph, zero_inputs: int = 0) -> StabilizerState:
     return StabilizerState._unchecked(og.n, gens)
 
 
-def _supported_combinations(generators: Sequence[PauliOperator], support: int,
-                           n: int) -> List[int]:
-    """Basis of the index sets (bitmasks over `generators`) whose product
-    acts only inside `support`: the nullspace of the generators' X and Z bits
-    on the n - |support| qubits outside it."""
-    rows = []
-    for b in members(((1 << n) - 1) & ~support):
-        rows.append(mask_of(i for i, g in enumerate(generators) if (g.x >> b) & 1))
-        rows.append(mask_of(i for i, g in enumerate(generators) if (g.z >> b) & 1))
-    sol = solve(rows, [0] * len(rows), len(generators))
-    assert sol is not None  # homogeneous system
-    return sol[1]
 
 
 # ---------------------------------------------------------------------------
 # Robustness probe for Pauli-measured runs
 
 
-def correction_operator(strategy, u: int) -> PauliOperator:
-    """Pauli applied when the outcome at u is 1: X on x(u), Z on z(u)."""
-    return PauliOperator(0, strategy.x[u], strategy.z[u])
+def _pauli_instantiations(m: Mbqc) -> List[int]:
+    """The settings of the labels, each the mask of the measured vertices
+    observed in Z; every other measured vertex is observed in X.
 
-
-def _pauli_instantiations(m: Mbqc) -> List[Dict[int, PauliOperator]]:
-    """The settings of the labels: one X/Z observable per measured vertex.
-
-    Pauli-labelled vertices keep their fixed observable; each {X,Z}-plane
-    vertex takes +X or +Z, the first such vertex varying fastest.  Its -X and
-    -Z instantiations need no settings of their own: an observable's sign
-    moves only the phase constant of the generator it becomes, never which
-    generators anticommute nor any sign form, so `_signed_run` gives every
-    sign choice the verdict of its axes.  In the full +-X/+-Z enumeration
-    (choices +X, -X, +Z, -Z, the first vertex fastest) each axis choice comes
-    first with all signs +, and those settings come in the order of this
-    list, so the first failing setting, the one the probe reports, is the
-    same.
+    Pauli-labelled vertices keep their fixed axis; each {X,Z}-plane vertex
+    takes +X or +Z, the first such vertex varying fastest.  Signs need no
+    settings of their own: an observable's sign moves only the constant part
+    of the sign form of the generator it becomes, never which generators
+    anticommute nor any linear part, so `_signed_run` gives every sign choice
+    the verdict of its axes.  In the full +-X/+-Z enumeration (choices +X,
+    -X, +Z, -Z, the first vertex fastest) each axis choice comes first with
+    all signs +, and those settings come in the order of this list, so the
+    first failing setting, the one the probe reports, is the same.
     """
-    og = m.og
-    fixed: Dict[int, PauliOperator] = {}
-    free: List[int] = []
-    for u, lab in sorted(og.labels.items()):
-        if lab.is_pauli:
-            fixed[u] = measurement_operator(lab, m.angles[u], u)
-        else:
-            free.append(u)
-    out = []
-    for combo in range(1 << len(free)):
-        asg = dict(fixed)
-        for k, u in enumerate(free):
-            asg[u] = PauliOperator.single("Z" if combo >> k & 1 else "X", u)
-        out.append(asg)
-    return out
+    labels = m.og.labels
+    fixed = mask_of(u for u, lab in labels.items() if lab is MeasurementLabel.Z)
+    free = [u for u, lab in sorted(labels.items()) if not lab.is_pauli]
+    return [fixed | mask_of(u for k, u in enumerate(free) if combo >> k & 1)
+            for combo in range(1 << len(free))]
 
 
-def _signed_run(m: Mbqc, order: Sequence[int], start: Sequence[PauliOperator],
-                observables: Dict[int, PauliOperator]) -> Optional[str]:
+def _signed_run(order: Sequence[int], xcol: List[int], zcol: List[int],
+                zmeasured: int, targets: Dict[int, Tuple[List[int], List[int]]],
+                outside: Sequence[int]) -> Optional[str]:
     """The probe's verdict on one setting, for all outcome branches at once.
 
-    Runs the branch-independent X/Z structure once; forms[i] is the linear
-    part of generator i's sign over the outcome bits (bit u for the outcome
-    at u), and its constant part stays in the operator's phase.
+    xcol and zcol are the start columns (see the module docstring); u is
+    observed in Z when bit u of `zmeasured` is set, else in X.  The lowest
+    anticommuting generator is the pivot: it multiplies the others and is
+    replaced by the observable, with form bit u.  The correction of u on
+    outcome 1, X on targets[u][0] and Z on targets[u][1], then flips u's bit
+    in the forms of the generators it anticommutes with.
     """
-    gens = list(start)
-    forms = [0] * len(gens)
+    fcol = [0] * len(xcol)
     for u in order:
-        obs = observables[u]
-        anti = [i for i, g in enumerate(gens) if not g.commutes(obs)]
+        z_observed = zmeasured >> u & 1
+        anti = xcol[u] if z_observed else zcol[u]
         if not anti:
             return "deterministic outcome"
-        pivot = anti[0]
-        for i in anti[1:]:
-            gens[i] = gens[i] * gens[pivot]
-            forms[i] ^= forms[pivot]
-        gens[pivot], forms[pivot] = obs, 1 << u  # -obs on outcome 1
-        corr = correction_operator(m.strategy, u)
-        for i, g in enumerate(gens):
-            if not g.commutes(corr):
-                forms[i] ^= 1 << u  # conjugated by corr on outcome 1
-    for combo in _supported_combinations(gens, m.og.outputs, m.og.n):
-        form = 0
-        for i in members(combo):
-            form ^= forms[i]
+        pivot = anti & -anti
+        # The other anticommuting generators times the pivot; the pivot cleared.
+        xcol = [col ^ anti if col & pivot else col for col in xcol]
+        zcol = [col ^ anti if col & pivot else col for col in zcol]
+        fcol = [col ^ anti if col & pivot else col for col in fcol]
+        (zcol if z_observed else xcol)[u] |= pivot
+        flip = pivot  # -observable on outcome 1
+        x_targets, z_targets = targets[u]
+        for b in x_targets:
+            flip ^= zcol[b]
+        for b in z_targets:
+            flip ^= xcol[b]
+        fcol[u] = flip
+    # The products supported on the outputs are the combinations orthogonal
+    # to the rows xcol[b], zcol[b] of the other qubits; all their forms are 0
+    # exactly when every fcol[v] lies in the row space of those rows.
+    pivots, _ = echelon((col for b in outside for col in (xcol[b], zcol[b])), len(xcol))
+    pivot_cols = mask_of(pivots)
+    for form in fcol:
+        while form & pivot_cols:  # reduced rows: each step clears one pivot column
+            form ^= pivots[(form & pivot_cols).bit_length() - 1]
         if form:
             return "branch-dependent output state"
     return None
+
+
+def _observable(m: Mbqc, u: int, zmeasured: int) -> PauliOperator:
+    """The signed observable of u in the setting `zmeasured`."""
+    label = m.og.labels[u]
+    if label.is_pauli:
+        return measurement_operator(label, m.angles[u], u)
+    return PauliOperator.single("Z" if zmeasured >> u & 1 else "X", u)
 
 
 def pauli_robustness_probe(m: Mbqc) -> dict:
@@ -247,24 +247,29 @@ def pauli_robustness_probe(m: Mbqc) -> dict:
 
     One symbolic run per setting decides all 2^|O^c| branches (see the module
     docstring): an outcome is determined in every branch or in none, and the
-    output subgroups agree in every branch exactly when each supported
-    combination's sign form is 0.  `pauli_runs` in `tests/oracles.py` is the
-    branch-exact oracle.
+    output subgroups agree in every branch exactly when each outcome bit's
+    column lies in the row space of the non-output columns.  `pauli_runs` in
+    `tests/oracles.py` is the branch-exact oracle.
     """
     og = m.og
     if not og.is_real:
         raise ContractError("probe requires real labels (within {X, Z})")
     instantiations = _pauli_instantiations(m)
     order = measurement_linearization(m)
+    targets = {u: (members(m.strategy.x[u]), members(m.strategy.z[u])) for u in order}
+    outside = members(og.measured)
+    adjacency = og.graph.adjacency
     ins = members(og.inputs)
     for zero_bits in range(1 << len(ins)):
         zero_inputs = mask_of(v for k, v in enumerate(ins) if (zero_bits >> k) & 1)
-        start = initial_stabilizers(og, zero_inputs).generators
-        for observables in instantiations:
-            reason = _signed_run(m, order, start, observables)
+        # initial_stabilizers by qubit: X_b Z_N(b) for b in |+>, Z_b for b in |0>
+        xcol = [0 if zero_inputs >> b & 1 else 1 << b for b in range(og.n)]
+        zcol = [adjacency[b] & ~zero_inputs | zero_inputs & 1 << b for b in range(og.n)]
+        for zmeasured in instantiations:
+            reason = _signed_run(order, xcol, zcol, zmeasured, targets, outside)
             if reason is not None:
                 return {"ok": False, "reason": reason,
                         "zero_inputs": [og.names[v] for v in members(zero_inputs)],
-                        "observables": {og.names[u]: p.describe(og.n)
-                                        for u, p in sorted(observables.items())}}
+                        "observables": {og.names[u]: _observable(m, u, zmeasured).describe(og.n)
+                                        for u in sorted(og.labels)}}
     return {"ok": True, "reason": None}

@@ -124,10 +124,11 @@ def _eigen_rows(labels: Sequence[MeasurementLabel], radians: np.ndarray) -> np.n
     at exactly 0 or pi (`_radians` and `_angle_stream` see to it), where
     cos is exactly +-1.  With theta and phi the polar angles of n, the
     eigenvectors are (cos theta/2, e^{i phi} sin theta/2) and
-    (sin theta/2, -e^{i phi} cos theta/2), each multiplied by the phase
-    that makes its first amplitude above 1e-12 real positive.  The stack
+    (sin theta/2, -e^{i phi} cos theta/2) (see `_phased_rows`).  The stack
     is float64 when every label is real (X, Z, XZ: n has no y part, so phi
-    is 0 or pi and e^{i phi} is cos phi) and complex128 otherwise.
+    is 0 or pi and e^{i phi} is cos phi) and complex128 otherwise.  A real
+    label's rows are computed in real arithmetic in either stack, so they
+    are the same bits in a complex stack as in a real one.
     """
     radians = np.asarray(radians, dtype=float)
     bloch = np.zeros((3,) + radians.shape)
@@ -139,9 +140,19 @@ def _eigen_rows(labels: Sequence[MeasurementLabel], radians: np.ndarray) -> np.n
     phi = np.arctan2(ny, nx)
     c, s = np.cos(theta / 2), np.sin(theta / 2)
     e = np.cos(phi)
-    if not all(lab.is_real for lab in labels):
-        e = e + 1j * np.sin(phi)
-    vecs = np.empty(radians.shape + (2, 2), e.dtype)  # [eigenvector, amplitude]
+    if all(lab.is_real for lab in labels):
+        return _phased_rows(c, s, e)
+    vecs = _phased_rows(c, s, e + 1j * np.sin(phi))
+    real = [i for i, lab in enumerate(labels) if lab.is_real]
+    vecs[real] = _phased_rows(c[real], s[real], e[real])
+    return vecs
+
+
+def _phased_rows(c: np.ndarray, s: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Conjugated rows of the eigenvectors (c, e s) and (s, -e c), each
+    multiplied by the phase that makes its first amplitude above 1e-12 real
+    positive; in the dtype of e."""
+    vecs = np.empty(c.shape + (2, 2), e.dtype)  # [eigenvector, amplitude]
     vecs[..., 0, 0], vecs[..., 0, 1] = c, e * s
     vecs[..., 1, 0], vecs[..., 1, 1] = s, -e * c
     lead = np.where(np.abs(vecs[..., :1]) > 1e-12, vecs[..., :1], vecs[..., 1:])

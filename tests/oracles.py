@@ -5,6 +5,8 @@ The library ships only the probe, which decides every outcome branch of a
 Pauli run in one symbolic pass.  `pauli_runs` runs each branch as its own
 stabilizer state, and `state_distance` compares such a state with a dense
 state vector from the simulator; numpy is needed only for the latter.
+`_supported_combinations` and `correction_operator` are the by-generator
+forms of what the probe reads off its per-qubit columns.
 
 Updates are built unchecked (`StabilizerState._unchecked`).  `apply_pauli`
 flips signs, `reorder_generators` multiplies and swaps, and `collapse`
@@ -18,11 +20,29 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from mbqcflow.errors import ContractError
-from mbqcflow.gf2 import echelon, members
+from mbqcflow.gf2 import echelon, mask_of, members, solve
 from mbqcflow.patterns import Mbqc, measurement_linearization
 from mbqcflow.stabilizer import (PauliOperator, StabilizerState,
-                                 _supported_combinations, correction_operator,
                                  initial_stabilizers, measurement_operator)
+
+
+def _supported_combinations(generators: Sequence[PauliOperator], support: int,
+                           n: int) -> List[int]:
+    """Basis of the index sets (bitmasks over `generators`) whose product
+    acts only inside `support`: the nullspace of the generators' X and Z bits
+    on the n - |support| qubits outside it."""
+    rows = []
+    for b in members(((1 << n) - 1) & ~support):
+        rows.append(mask_of(i for i, g in enumerate(generators) if (g.x >> b) & 1))
+        rows.append(mask_of(i for i, g in enumerate(generators) if (g.z >> b) & 1))
+    sol = solve(rows, [0] * len(rows), len(generators))
+    assert sol is not None  # homogeneous system
+    return sol[1]
+
+
+def correction_operator(strategy, u: int) -> PauliOperator:
+    """Pauli applied when the outcome at u is 1: X on x(u), Z on z(u)."""
+    return PauliOperator(0, strategy.x[u], strategy.z[u])
 
 
 def _product(generators: Sequence[PauliOperator], combo: int) -> PauliOperator:

@@ -29,9 +29,10 @@ from typing import Dict, List, Optional, Tuple
 from mbqcflow.gf2 import mask_of, members, solve
 from mbqcflow.graphs import MeasurementLabel, OpenGraph
 from mbqcflow.stabilizer import (PauliOperator, StabilizerState,
-                                 _supported_combinations, initial_stabilizers)
+                                 initial_stabilizers)
 
-from oracles import _product, collapse, measure_outcome
+from oracles import (_product, _supported_combinations, collapse,
+                     measure_outcome)
 
 _CHOICES = {
     MeasurementLabel.X: (("X", 1), ("X", -1)),

@@ -132,3 +132,27 @@ def test_shared_elimination_decides_each_system(rows, rhs_masks):
         if sol is not None:
             assert sol[0] == mask_of(col for col, row in pivots.items()
                                      if row >> (8 + k) & 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows_strategy, st.integers(min_value=0, max_value=255),
+       st.integers(min_value=0, max_value=255))
+def test_row_space_is_the_nullspace_complement(rows, vector, combo):
+    """v lies in the row space of R exactly when it has even overlap with
+    every basis vector of R's nullspace that `solve(R, 0...)` returns: the
+    identity the stabilizer probe's output test rests on.  Reducing v by
+    `echelon`'s pivot rows, as the probe does, decides the same.  Both a free
+    vector and a combination of the rows are tried."""
+    _, basis = solve(rows, [0] * len(rows), 8)
+    pivots, _ = echelon(rows, 8)
+    spanned = 0
+    for i in members(combo):
+        if i < len(rows):
+            spanned ^= rows[i]
+    for v in (vector, spanned):
+        in_span = rank(rows + [v]) == rank(rows)
+        assert in_span == all((v & x).bit_count() % 2 == 0 for x in basis)
+        for col, row in pivots.items():
+            if v >> col & 1:
+                v ^= row
+        assert in_span == (v == 0)

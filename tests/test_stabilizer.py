@@ -16,17 +16,17 @@ from mbqcflow.instances import InstanceSpec, generate_instance
 from mbqcflow.patterns import (Angle, Mbqc, PI_ANGLE, ZERO_ANGLE, to_pattern)
 from mbqcflow.search import find_pauli_flow, find_pauli_flow_bruteforce
 from mbqcflow.stabilizer import (PauliOperator, StabilizerState,
-                                 correction_operator, initial_stabilizers,
-                                 measurement_operator, pauli_robustness_probe)
+                                 initial_stabilizers, measurement_operator,
+                                 pauli_robustness_probe)
 from mbqcflow.statevec import run_pattern
 from mbqcflow.synthesis import (CorrectionStrategy, bipartite_normal_form,
                                 is_extensive, parallelize,
                                 synthesize_corrections)
 
 from oracles import (apply_pauli, apply_pauli_to_vector, canonical_generators,
-                     collapse, measure_outcome, output_group_signature,
-                     pauli_runs, projector_overlap, reorder_generators,
-                     restricted_generators, state_distance)
+                     collapse, correction_operator, measure_outcome,
+                     output_group_signature, pauli_runs, projector_overlap,
+                     reorder_generators, restricted_generators, state_distance)
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -378,10 +378,13 @@ class TestProbe:
         """The symbolic probe returns the branch-enumerating probe's report on
         parallelized strategies and their one-target mutants.  These never
         meet a determined outcome, so uncorrected strategies on flowless
-        instances, and their mutants, join them."""
+        instances, and their mutants, join them.  The multi-input shapes run
+        4 or 8 |0>/|+> input settings per case."""
         reasons = collections.Counter()
         cases = itertools.chain(probe_cases(150, with_flow=True),
-                                probe_cases(30, with_flow=False))
+                                probe_cases(30, with_flow=False),
+                                probe_cases(60, with_flow=True, shapes=MULTI_INPUT_SHAPES),
+                                probe_cases(15, with_flow=False, shapes=MULTI_INPUT_SHAPES))
         for m in cases:
             got = pauli_robustness_probe(m)
             assert got == branch_enumerating_probe(m)
@@ -389,6 +392,26 @@ class TestProbe:
         assert reasons[None] >= 150
         assert reasons["deterministic outcome"] > 0
         assert reasons["branch-dependent output state"] > 0
+
+    def test_probe_calls_no_pauli_operator_arithmetic(self, monkeypatch):
+        """The probe reads anticommuting generators, corrections and the
+        output test off its bitmask columns: on passing and failing cases it
+        calls neither `PauliOperator.commutes` nor `PauliOperator.__mul__`."""
+        cases = list(itertools.chain(
+            probe_cases(20, with_flow=True), probe_cases(5, with_flow=False),
+            probe_cases(10, with_flow=True, shapes=MULTI_INPUT_SHAPES)))
+        calls = collections.Counter()
+        for name in ("commutes", "__mul__"):
+            def counted(self, other, name=name, method=getattr(PauliOperator, name)):
+                calls[name] += 1
+                return method(self, other)
+            monkeypatch.setattr(PauliOperator, name, counted)
+        verdicts = collections.Counter(pauli_robustness_probe(m)["ok"] for m in cases)
+        assert verdicts[True] > 0 and verdicts[False] > 0
+        assert calls == {}
+        x, z = PauliOperator.single("X", 0), PauliOperator.single("Z", 0)
+        assert not x.commutes(z) and x * z == PauliOperator(0, 1, 1)
+        assert calls == {"commutes": 1, "__mul__": 1}  # the counters count
 
     def test_sixteen_qubits(self):
         og = generate_instance(InstanceSpec(
@@ -449,6 +472,8 @@ def branch_enumerating_probe(m):
 # (n, inputs, outputs, edge probability) of the benchmark's probe instances
 PROBE_SHAPES = ((5, 1, 2, 0.5), (6, 1, 3, 0.5), (7, 1, 3, 0.4),
                 (8, 1, 4, 0.35), (10, 1, 5, 0.3))
+# probe-style shapes with two or three inputs
+MULTI_INPUT_SHAPES = ((5, 2, 2, 0.5), (6, 2, 3, 0.5), (7, 2, 3, 0.4), (6, 3, 3, 0.5))
 
 
 def plane_count(og):
@@ -474,15 +499,15 @@ def mutants(og, strategy, rng):
             yield mutant
 
 
-def probe_cases(instances, with_flow, mutants_per_instance=2):
-    """MBQCs on probe-shaped instances, the shapes taken in turn.
+def probe_cases(instances, with_flow, shapes=PROBE_SHAPES, mutants_per_instance=2):
+    """MBQCs on instances of the given shapes, the shapes taken in turn.
 
     With a flow, the base strategy is the parallelized one; without, it
     corrects nothing.  Each base strategy is followed by up to
     `mutants_per_instance` one-target mutants of it."""
     found = 0
     for seed in itertools.count():
-        n, n_inputs, n_outputs, p = PROBE_SHAPES[seed % len(PROBE_SHAPES)]
+        n, n_inputs, n_outputs, p = shapes[seed % len(shapes)]
         try:
             og = generate_instance(InstanceSpec(
                 n=n, seed=seed, n_inputs=n_inputs, n_outputs=n_outputs,

@@ -839,11 +839,7 @@ def test_pauses_permute_the_truncations_branch_states():
             perm = [q + 1] + [live.index(u) for u in reversed(keep)] + [q]
             axes = np.transpose(out[0].reshape((2,) * q + (n_cols, n_branch)), perm)
             got, expect = axes.reshape(n_branch, n_rows, n_cols), [b.state for b in branches]
-            labels = [m.og.labels[u] for u in sequence[:j]]
-            if m.og.is_real or not all(lab.is_real for lab in labels):
-                assert np.array_equal(got, expect)
-            else:  # a complex stream gives real labels' rows sin(pi)'s 1e-16 rounding
-                assert np.allclose(got, expect, rtol=0, atol=1e-15)
+            assert np.array_equal(got, expect)
 
 
 def test_dtype_follows_the_graph():
