@@ -14,8 +14,8 @@ from typing import Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import ContractError, CycleError, FormatError
 from .gf2 import mask_of, members
-from .graphs import (MeasurementLabel, OpenGraph, VertexNames, expect_json,
-                     odd_neighborhood, read_document)
+from .graphs import (MeasurementLabel, OpenGraph, VertexNames, odd_neighborhood,
+                     read_document)
 
 
 @dataclass(frozen=True)
@@ -26,10 +26,11 @@ class PartialOrder:
     The constructor checks, in one pass, that u is never in succ[u] and that
     succ[v] is a subset of succ[u] for every v in succ[u].  Rows closed by
     construction skip it (`_closed`): `chain`, the layered order of
-    `find_pauli_flow`, and `from_pairs` and the order joins via `_close`, a
-    depth-first closure that closes each row once, skips covered successors
-    and takes the lowest or highest pending one, whichever has the larger
-    row, so chains close in linear time either way (`minimal` walks alike).
+    `find_pauli_flow`, a join already inside its order (`measurement_order`),
+    and `from_pairs` and the other joins via `_close`, a depth-first closure
+    that closes each row once, skips covered successors and takes the
+    lowest or highest pending one, whichever has the larger row, so chains
+    close in linear time either way (`minimal` walks alike).
     A closed row, the set reachable from u, depends only on u's relation
     row, so vertices with equal relation rows share one: the siblings of a
     layered cover document close once per layer, not once per vertex.
@@ -64,6 +65,8 @@ class PartialOrder:
         for root in range(n - 1, -1, -1):
             if closed[root] is None:
                 closed[root] = memo.get(rows[root])
+            if closed[root] is not None:
+                continue
             stack, active = [[1 << root, rows[root], 0]], 1 << root  # [vertices, pending, row]
             while closed[root] is None:
                 group, todo, acc = stack[-1]
@@ -93,8 +96,9 @@ class PartialOrder:
                         closed[u] = memo[rows[u]] = acc
                     active &= ~group
                     stack.pop()
-        for u in filter(lambda u: (closed[u] >> u) & 1, range(n)):
-            raise CycleError(u)  # the lowest vertex in its own row
+        for u, row in enumerate(closed):
+            if (row >> u) & 1:
+                raise CycleError(u)  # the lowest vertex in its own row
         return cls._closed(n, tuple(closed))
 
     @classmethod
@@ -203,28 +207,34 @@ def verify_pauli_flow(og: OpenGraph, f: CorrectionFlow) -> Verdict:
 
     For axis A in the label of u, with K_A the odd neighbourhood (X), closed
     odd neighbourhood (Y) or the set itself (Z): u must lie in K_A(p(u)) and
-    outside K_A(p(v)) for every measured v != u with not(v < u).  Each
-    K_A(p(v)) is computed once and transposed into the hit mask hits_A[u] =
-    {v != u : u in K_A(p(v))} minus pred[u].  Its lowest vertex is the
-    witness a walk over v in ascending order meets first; u and its axes are
-    walked in ascending order too, so the first violation is that walk's.
+    outside K_A(p(v)) for every measured v != u with not(v < u).  One pass
+    over v computes each K_A(p(v)) once and collects own[A] = {u : u in
+    K_A(p(u))} and hit[A] = {u : u in K_A(p(v)) for some such v}.  u and its
+    axes are walked in ascending order, so the first violation is that
+    walk's; a hit's witness is the lowest such v, found only on failure.
     """
     _check_well_formed(og, f)
-    masks = {axis: og.axis_vertices(axis) for axis in "XYZ"}
-    own = dict.fromkeys("XYZ", 0)  # u is in own[A] when u is in K_A(p(u))
-    hits = {axis: [0] * og.n for axis in "XYZ"}
+    succ, odds = f.order.succ, {}
+    own_x = own_y = own_z = hit_x = hit_y = hit_z = 0
     for v, c in f.p.items():
         bit, odd = 1 << v, odd_neighborhood(og.graph, c)
-        for axis, k in zip("XYZ", (odd, odd ^ c, c)):
-            own[axis] |= k & bit
-            for u in members(k & masks[axis] & ~bit & ~f.order.succ[v]):
-                hits[axis][u] |= bit
+        odds[v], free = odd, ~(bit | succ[v])
+        own_x |= odd & bit
+        own_y |= (odd ^ c) & bit
+        own_z |= c & bit
+        hit_x |= odd & free
+        hit_y |= (odd ^ c) & free
+        hit_z |= c & free
+    own, hit = {"X": own_x, "Y": own_y, "Z": own_z}, {"X": hit_x, "Y": hit_y, "Z": hit_z}
     for u in sorted(f.p):
         for axis in sorted(og.labels[u].axes):
             if not (own[axis] >> u) & 1:
                 return Verdict(False, u, f"c_{axis}")
-            if hits[axis][u]:
-                return Verdict(False, u, f"c_{axis}", members(hits[axis][u])[0])
+            if (hit[axis] >> u) & 1:
+                k = {"X": odds, "Y": {v: odds[v] ^ c for v, c in f.p.items()}, "Z": f.p}[axis]
+                return Verdict(False, u, f"c_{axis}", min(
+                    v for v, kv in k.items()
+                    if v != u and not (succ[v] >> u) & 1 and (kv >> u) & 1))
     return _OK
 
 
@@ -305,11 +315,16 @@ def input_label_constraint(og: OpenGraph) -> Verdict:
 
 def flow_to_json(f: CorrectionFlow, names: Tuple[str, ...]) -> dict:
     """The order is written as its covering pairs (u, v), v minimal in succ[u]."""
-    order, cover = f.order, cache(f.order.minimal)  # rows repeat along layered orders
+    order = f.order
+
+    @cache  # rows repeat along layered orders
+    def cover(row: int) -> List[str]:
+        return [names[v] for v in members(order.minimal(row))]
+
     return {
         "p": {names[u]: [names[v] for v in members(c)] for u, c in sorted(f.p.items())},
-        "order": [[names[u], names[v]] for u in range(order.n)
-                  for v in members(cover(order.succ[u]))],
+        "order": [[names[u], v] for u, row in enumerate(order.succ) if row
+                  for v in cover(row)],
     }
 
 
@@ -317,8 +332,7 @@ def flow_from_json(doc: Union[str, dict], og: OpenGraph) -> CorrectionFlow:
     """The order may list any pairs whose closure is the order."""
     doc = read_document(doc, "flow", ("p",))
     names = VertexNames(og.names)
-    p = {names.id(u): names.mask(targets, f"p({u})")
-         for u, targets in expect_json(doc["p"], dict, "p").items()}
+    p = names.masks(doc["p"], "p")
     pairs = names.pairs(doc.get("order", []), "order", "order pair")
     try:
         order = PartialOrder.from_pairs(og.n, pairs)

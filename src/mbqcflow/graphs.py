@@ -12,14 +12,18 @@ from collections import deque
 from contextlib import suppress
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import FormatError
 from .gf2 import mask_of, members
 
 
 class MeasurementLabel(Enum):
-    """Measurement axis set: a Pauli axis or a plane of the Bloch sphere."""
+    """Measurement axis set: a Pauli axis or a plane of the Bloch sphere.
+
+    `axes` (the value), `is_pauli`, `is_plane` and `is_real` are plain
+    attributes set once per member: the flow checks and the search read
+    them in their inner loops."""
 
     X = frozenset("X")
     Y = frozenset("Y")
@@ -28,31 +32,27 @@ class MeasurementLabel(Enum):
     YZ = frozenset("YZ")
     XZ = frozenset("XZ")
 
-    @property
-    def axes(self) -> frozenset:
-        return self.value
-
-    @property
-    def is_pauli(self) -> bool:
-        return len(self.value) == 1
-
-    @property
-    def is_plane(self) -> bool:
-        return len(self.value) == 2
-
-    @property
-    def is_real(self) -> bool:
-        return self.value <= frozenset("XZ")
+    def __init__(self, axes: frozenset):
+        self.axes = axes
+        self.is_pauli = len(axes) == 1
+        self.is_plane = len(axes) == 2
+        self.is_real = axes <= frozenset("XZ")
 
     @classmethod
     def from_string(cls, s: str) -> "MeasurementLabel":
-        key = "".join(sorted(s.upper())) if isinstance(s, str) else None
-        if key not in cls.__members__:
-            raise FormatError(f"unknown measurement label {s!r}")
-        return cls.__members__[key]
+        label = _LABELS.get(s) if isinstance(s, str) else None
+        if label is None:  # any case and order of the axes, e.g. "yx"
+            key = "".join(sorted(s.upper())) if isinstance(s, str) else None
+            if key not in cls.__members__:
+                raise FormatError(f"unknown measurement label {s!r}")
+            label = cls.__members__[key]
+        return label
 
     def to_string(self) -> str:
         return self.name
+
+
+_LABELS = {label.name: label for label in MeasurementLabel}
 
 
 @dataclass(frozen=True)
@@ -75,21 +75,28 @@ class Graph:
                     raise ValueError("adjacency matrix is not symmetric")
 
     @classmethod
+    def _unchecked(cls, n: int, adjacency: Tuple[int, ...]) -> "Graph":
+        out = object.__new__(cls)  # valid by construction: not re-checked
+        out.__dict__.update(n=n, adjacency=adjacency)
+        return out
+
+    @classmethod
     def from_edges(cls, n: int, edges: Iterable[Tuple[int, int]]) -> "Graph":
+        """The graph of an edge list; its rows are symmetric, in range and
+        loop-free by construction, so they skip the constructor's checks."""
         adj = [0] * n
-        seen = set()
         for a, b in edges:
             if not (0 <= a < n and 0 <= b < n):
                 raise ValueError(f"edge ({a},{b}) out of range for n={n}")
             if a == b:
                 raise ValueError(f"self-loop on vertex {a}")
-            key = (min(a, b), max(a, b))
-            if key in seen:
-                raise ValueError(f"duplicate edge {key}")
-            seen.add(key)
+            if (adj[a] >> b) & 1:
+                raise ValueError(f"duplicate edge {(min(a, b), max(a, b))}")
             adj[a] |= 1 << b
             adj[b] |= 1 << a
-        return cls(n, tuple(adj))
+        if n < 0:  # the constructor's one check that the edges leave open
+            raise ValueError("adjacency row count does not match n")
+        return cls._unchecked(n, tuple(adj))
 
     def edges(self) -> List[Tuple[int, int]]:
         out = []
@@ -274,12 +281,26 @@ class VertexNames:
         """Ids of an array of name pairs in one pass, else the per-name errors."""
         pairs, index = expect_json(value, list, what), self.index
         with suppress(KeyError, TypeError, ValueError):
-            if all(type(pair) is list for pair in pairs):
+            if set(map(type, pairs)) <= {list}:
                 return [(index[a], index[b]) for a, b in pairs]
         return [self.ids(pair, item, 2) for pair in pairs]  # raises
 
     def mask(self, value, what: str) -> int:
-        return mask_of(self.ids(value, what))
+        """The set of a JSON array of names in one pass, else the per-name errors."""
+        names = expect_json(value, list, what)
+        with suppress(KeyError, TypeError):
+            return mask_of(map(self.index.__getitem__, names))
+        return mask_of(self.ids(names, what))  # raises
+
+    def masks(self, value, what: str) -> Dict[int, int]:
+        """Id -> set of a JSON object mapping names to arrays of names, in one
+        pass; else the per-name path, the set of `u` read as `what(u)`."""
+        doc, index = expect_json(value, dict, what), self.index
+        with suppress(KeyError, TypeError):
+            if set(map(type, doc.values())) <= {list}:  # never a string's letters
+                return {index[u]: mask_of(map(index.__getitem__, names))
+                        for u, names in doc.items()}
+        return {self.id(u): self.mask(names, f"{what}({u})") for u, names in doc.items()}
 
 
 def open_graph_from_json(doc: Union[str, dict]) -> OpenGraph:

@@ -4,6 +4,19 @@ Commands are stored in application order (first element executes first).
 The `.mcpat` text format is one command per line, also in application order,
 with optional `vertices:` / `input:` / `output:` headers; vertex tokens are
 free-form names mapped to dense ids at the parse boundary.
+
+`parse` reads each line in one pass: it splits off a comment only when the
+line has a `#`, tries the heads in the order of their frequency in standard
+patterns (X/Z, E, M, N, then the headers), resolves names by direct lookup
+and parses each distinct label token and angle token tuple once per call.
+`print_pattern` writes the same heads in the same order.
+
+`to_pattern` joins the strategy-induced order with the given order on the
+measured vertices.  When every induced row already lies in the given
+order's row (the usual case: a strategy synthesized for that order), the
+join is the given order restricted to the measured vertices, which is
+closed and acyclic as it stands, so it is not closed again (see
+`measurement_order`).
 """
 
 from __future__ import annotations
@@ -261,13 +274,25 @@ class Mbqc:
 def measurement_order(m: Mbqc, order: Optional[PartialOrder] = None) -> PartialOrder:
     """The strategy-induced order joined with `order` restricted to the
     measured vertices (e.g. the flow order the corrections were synthesized
-    for), closed once.  Raises ContractError when they are not jointly acyclic."""
+    for), closed once.  Raises ContractError when they are not jointly acyclic
+    or when `order` is not over the graph's vertices.
+
+    When every induced row lies in `order`'s row, the join is `order`
+    restricted to the measured vertices M, returned without closing it again:
+    the union adds no pair, and a closed order restricted to M is closed
+    (u < v < w within M gives u < w in `order`, and u, w are in M).  It is
+    acyclic because `order` is."""
     induced = m.induced_order
     if order is None:
         return induced
-    measured = m.og.measured
+    if order.n != m.og.n:
+        raise ContractError("order size does not match the graph")
+    measured, osucc = m.og.measured, order.succ
+    if not any(row & ~osucc[u] for u, row in enumerate(induced.succ)):
+        return PartialOrder._closed(m.og.n, tuple(
+            row & measured if (measured >> u) & 1 else 0 for u, row in enumerate(osucc)))
     rows = list(induced.succ)
-    for u, row in enumerate(order.succ):
+    for u, row in enumerate(osucc):
         if (measured >> u) & 1:
             rows[u] |= row & measured
     try:
@@ -294,18 +319,14 @@ def to_pattern(m: Mbqc, order: Optional[PartialOrder] = None) -> Pattern:
 def _standard_pattern(m: Mbqc, induced: PartialOrder) -> Pattern:
     """to_pattern(m, order) given induced = measurement_order(m, order);
     valid for every Mbqc (see check_robust_deterministic)."""
-    og = m.og
-    cmds: List[Command] = []
-    for u in members(og.non_inputs):
-        cmds.append(New(u))
-    for a, b in og.graph.edges():
-        cmds.append(Entangle(a, b))
+    og, adjacency = m.og, m.og.graph.adjacency
+    labels, angles, xs, zs = og.labels, m.angles, m.strategy.x, m.strategy.z
+    cmds: List[Command] = [New(u) for u in members(og.non_inputs)]
+    cmds += [Entangle(a, b) for a in range(og.n) for b in members(adjacency[a] >> a << a)]
     for u in linearize(induced, og.measured):
-        cmds.append(Measure(u, og.labels[u], m.angles[u]))
-        for v in members(m.strategy.x[u]):
-            cmds.append(CorrectX(v, u))
-        for v in members(m.strategy.z[u]):
-            cmds.append(CorrectZ(v, u))
+        cmds.append(Measure(u, labels[u], angles[u]))
+        cmds += [CorrectX(v, u) for v in members(xs[u])]
+        cmds += [CorrectZ(v, u) for v in members(zs[u])]
     return Pattern(og.n, tuple(cmds), og.inputs, og.outputs, og.names)
 
 
@@ -341,22 +362,22 @@ def of_pattern(pat: Pattern) -> Mbqc:
 
 
 def print_pattern(pat: Pattern) -> str:
-    lines = []
-    lines.append("vertices: " + " ".join(pat.names))
-    lines.append("input: " + " ".join(pat.names[v] for v in members(pat.inputs)))
-    lines.append("output: " + " ".join(pat.names[v] for v in members(pat.outputs)))
     name = pat.names
-    for cmd in pat.commands:
-        if isinstance(cmd, New):
-            lines.append(f"N {name[cmd.qubit]}")
-        elif isinstance(cmd, Entangle):
-            lines.append(f"E {name[cmd.a]} {name[cmd.b]}")
-        elif isinstance(cmd, Measure):
-            lines.append(f"M {name[cmd.qubit]} {cmd.label.to_string()} {cmd.angle}")
+    lines = ["vertices: " + " ".join(name),
+             "input: " + " ".join(name[v] for v in members(pat.inputs)),
+             "output: " + " ".join(name[v] for v in members(pat.outputs))]
+    add = lines.append
+    for cmd in pat.commands:  # heads in the order of their frequency
+        if isinstance(cmd, CorrectZ):
+            add(f"Z {name[cmd.qubit]} s({name[cmd.signal]})")
         elif isinstance(cmd, CorrectX):
-            lines.append(f"X {name[cmd.qubit]} s({name[cmd.signal]})")
+            add(f"X {name[cmd.qubit]} s({name[cmd.signal]})")
+        elif isinstance(cmd, Entangle):
+            add(f"E {name[cmd.a]} {name[cmd.b]}")
+        elif isinstance(cmd, Measure):
+            add(f"M {name[cmd.qubit]} {cmd.label.name} {cmd.angle}")
         else:
-            lines.append(f"Z {name[cmd.qubit]} s({name[cmd.signal]})")
+            add(f"N {name[cmd.qubit]}")
     return "\n".join(lines) + "\n"
 
 
@@ -387,7 +408,13 @@ def _parse_angle(tokens: Sequence[str], lineno: int) -> Angle:
 
 def parse(text: str) -> Pattern:
     """Parse the `.mcpat` format; ids follow the vertices header when present,
-    otherwise the order of first appearance."""
+    otherwise the order of first appearance.
+
+    One pass per line: the comment is split off only when the line has a
+    `#`, and heads are tried in the order of their frequency in standard
+    patterns.  Names resolve by direct lookup; `vid` runs only for a name
+    not yet seen.  Each distinct label token and angle token tuple is
+    parsed once per call."""
     names: List[str] = []
     index: Dict[str, int] = {}
     declared = False
@@ -400,17 +427,56 @@ def parse(text: str) -> Pattern:
             names.append(token)
         return index[token]
 
+    labels: Dict[str, MeasurementLabel] = {}
+    angles: Dict[Tuple[str, ...], Angle] = {}
     input_names: List[Tuple[str, int]] = []
     output_names: List[Tuple[str, int]] = []
     commands: List[Command] = []
+    add = commands.append
     saw_output_header = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        tokens = (raw.split("#", 1)[0] if "#" in raw else raw).split()
+        if not tokens:
             continue
-        tokens = line.split()
         head = tokens[0]
-        if head == "vertices:":
+        if head == "Z" or head == "X":
+            if len(tokens) != 3 or not (tokens[2].startswith("s(") and tokens[2].endswith(")")):
+                raise PatternSyntaxError(f"{head} takes a qubit and a signal s(v)", lineno)
+            q, s = tokens[1], tokens[2][2:-1]
+            q = index[q] if q in index else vid(q, lineno)
+            s = index[s] if s in index else vid(s, lineno)
+            add(CorrectZ(q, s) if head == "Z" else CorrectX(q, s))
+        elif head == "E":
+            if len(tokens) != 3:
+                raise PatternSyntaxError("E takes two qubits", lineno)
+            a, b = tokens[1], tokens[2]
+            a = index[a] if a in index else vid(a, lineno)
+            b = index[b] if b in index else vid(b, lineno)
+            if a == b:
+                raise PatternSyntaxError("E needs two distinct qubits", lineno)
+            add(Entangle(a, b))
+        elif head == "M":
+            if len(tokens) < 3:
+                raise PatternSyntaxError("M takes a qubit, a label and an angle", lineno)
+            q = tokens[1]
+            q = index[q] if q in index else vid(q, lineno)
+            label = labels.get(tokens[2])
+            if label is None:
+                try:
+                    label = labels[tokens[2]] = MeasurementLabel.from_string(tokens[2])
+                except ValueError as e:
+                    raise PatternSyntaxError(str(e), lineno) from e
+            key = tuple(tokens[3:])
+            angle = angles.get(key)
+            if angle is None:
+                angle = angles[key] = _parse_angle(key, lineno)
+            add(Measure(q, label, angle))
+        elif head == "N":
+            if len(tokens) != 2:
+                raise PatternSyntaxError("N takes one qubit", lineno)
+            q = tokens[1]
+            add(New(index[q] if q in index else vid(q, lineno)))
+        elif head == "vertices:":
             if names:
                 raise PatternSyntaxError("vertices header must come first", lineno)
             for tok in tokens[1:]:
@@ -424,32 +490,6 @@ def parse(text: str) -> Pattern:
         elif head == "output:":
             saw_output_header = True
             output_names.extend((tok, lineno) for tok in tokens[1:])
-        elif head == "N":
-            if len(tokens) != 2:
-                raise PatternSyntaxError("N takes one qubit", lineno)
-            commands.append(New(vid(tokens[1], lineno)))
-        elif head == "E":
-            if len(tokens) != 3:
-                raise PatternSyntaxError("E takes two qubits", lineno)
-            a, b = vid(tokens[1], lineno), vid(tokens[2], lineno)
-            if a == b:
-                raise PatternSyntaxError("E needs two distinct qubits", lineno)
-            commands.append(Entangle(a, b))
-        elif head == "M":
-            if len(tokens) < 3:
-                raise PatternSyntaxError("M takes a qubit, a label and an angle", lineno)
-            q = vid(tokens[1], lineno)
-            try:
-                label = MeasurementLabel.from_string(tokens[2])
-            except ValueError as e:
-                raise PatternSyntaxError(str(e), lineno) from e
-            commands.append(Measure(q, label, _parse_angle(tokens[3:], lineno)))
-        elif head in ("X", "Z"):
-            if len(tokens) != 3 or not (tokens[2].startswith("s(") and tokens[2].endswith(")")):
-                raise PatternSyntaxError(f"{head} takes a qubit and a signal s(v)", lineno)
-            q = vid(tokens[1], lineno)
-            s = vid(tokens[2][2:-1], lineno)
-            commands.append(CorrectX(q, s) if head == "X" else CorrectZ(q, s))
         else:
             raise PatternSyntaxError(f"unknown command {head!r}", lineno, raw.index(head) + 1)
     inputs = mask_of(index[tok] if tok in index else vid(tok, ln) for tok, ln in input_names)

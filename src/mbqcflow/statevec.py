@@ -31,7 +31,9 @@ robustness check runs in float64 end to end.
 `capacity` bounds the outcome axes plus the live-qubit axes, the log2 of the
 tensor's rows per assignment and input column.  A measurement trades a live
 axis for an outcome axis, so the count never drops; for a standard pattern
-of n qubits it is n.
+of n qubits it is n.  The inputs are live from the start, so every entry
+point checks |I| against `capacity` before it builds the 2^|I| input
+columns.
 
 Determinism is tested per input vector (branch outputs pairwise proportional),
 strong determinism adds equal norms; on real open graphs the test vectors are
@@ -180,6 +182,13 @@ def _bases(pat: Pattern) -> Dict[int, np.ndarray]:
     return dict(zip((cmd.qubit for cmd in measures), stack))
 
 
+def _require_width(width: int, capacity: int) -> None:
+    """Raise CapacityError when `width` axes exceed `capacity`; callers bound
+    the input count this way before they build 2^|I| input columns."""
+    if width > capacity:
+        raise CapacityError(f"simulation bounded to {capacity} outcome and qubit axes")
+
+
 def _abort_points(pat: Pattern, columns: np.ndarray, bases: Dict[int, np.ndarray],
                   capacity: int) -> Iterator[Tuple[np.ndarray, List[int], Tuple[int, ...]]]:
     """Run a valid pattern on every branch and every angle assignment,
@@ -193,12 +202,8 @@ def _abort_points(pat: Pattern, columns: np.ndarray, bases: Dict[int, np.ndarray
     live qubits as listed, branches in lexicographic measurement order.
     Read it before resuming: `E`, `X` and `Z` write the tensor in place.
     """
-    def require_width(width: int) -> None:
-        if width > capacity:
-            raise CapacityError(f"simulation bounded to {capacity} outcome and qubit axes")
-
     ins = members(pat.inputs)
-    require_width(len(ins))
+    _require_width(len(ins), capacity)
     ncols = columns.shape[1]
     # Axis 1+i of the initial tensor carries bit len(ins)-1-i of the row
     # index, i.e. input qubit ins[len(ins)-1-i].
@@ -219,7 +224,7 @@ def _abort_points(pat: Pattern, columns: np.ndarray, bases: Dict[int, np.ndarray
     for cmd in pat.commands:
         idx = [slice(None)] * t.ndim
         if isinstance(cmd, New):
-            require_width(len(order) + len(live) + 1)
+            _require_width(len(order) + len(live) + 1, capacity)
             t = (t * _SQRT_HALF)[:, None].repeat(2, axis=1)
             live.insert(0, cmd.qubit)
         elif isinstance(cmd, Entangle):
@@ -285,6 +290,7 @@ def run_pattern(
     (X, Z, XZ), complex128 otherwise.
     """
     _require_valid(pat)
+    _require_width(pat.inputs.bit_count(), capacity)
     d_in = 1 << pat.inputs.bit_count()
     if input_state is None:
         input_state = np.eye(d_in)
@@ -357,6 +363,7 @@ def check_deterministic(pat: Pattern, tol: float = DEFAULT_TOL, seed: int = 0,
     zero-probability branch never stands in as the reference.
     """
     _require_valid(pat)
+    _require_width(pat.inputs.bit_count(), capacity)
     d_in = 1 << pat.inputs.bit_count()
     columns = _test_vectors(d_in, real=False, seed=seed)
     out = _run(pat, columns, _bases(pat), capacity)[0][0]  # (rows, cols, branches)
@@ -422,6 +429,7 @@ def check_strong_deterministic(pat: Pattern, tol: float = DEFAULT_TOL,
     real test vector: proportional and equal norm.
     """
     _require_valid(pat)
+    _require_width(pat.inputs.bit_count(), capacity)
     d_in = 1 << pat.inputs.bit_count()
     columns = _test_vectors(d_in, real=True, seed=seed) if real_inputs else np.eye(d_in)
     out = _run(pat, columns, _bases(pat), capacity)[0]
@@ -546,6 +554,7 @@ def check_robust_deterministic(m: Mbqc, angle_samples: int = 20, seed: int = 0,
     induced = measurement_order(m, order)
     full = _standard_pattern(m, induced)  # to_pattern(m, order), order built once
     real_mode = og.is_real
+    _require_width(og.inputs.bit_count(), capacity)
     d_in = 1 << og.inputs.bit_count()
     columns = _test_vectors(d_in, real=True, seed=seed) if real_mode else np.eye(d_in)
     measured = sorted(og.labels)

@@ -21,7 +21,7 @@ from .flows import (CorrectionFlow, PartialOrder, verify_pauli_flow,
                     verify_real_pauli_flow)
 from .gf2 import members
 from .graphs import (MeasurementLabel, OpenGraph, VertexNames, bipartition,
-                     expect_json, odd_neighborhood, read_document)
+                     odd_neighborhood, read_document)
 
 
 @dataclass(frozen=True)
@@ -40,9 +40,9 @@ def strategy_order(strategy: CorrectionStrategy, og: OpenGraph) -> PartialOrder:
 
     Raises ContractError when the relation is cyclic (strategy not extensive).
     """
-    rows = [0] * og.n
-    for u in strategy.x:
-        rows[u] = strategy.targets(u) & og.measured
+    rows, measured = [0] * og.n, og.measured
+    for u, row in strategy.x.items():
+        rows[u] = (row | strategy.z[u]) & measured
     try:
         return PartialOrder._close(og.n, rows)
     except ValueError as e:
@@ -226,7 +226,5 @@ def strategy_to_json(strategy: CorrectionStrategy, names: Tuple[str, ...]) -> di
 def strategy_from_json(doc: Union[str, dict], og: OpenGraph) -> CorrectionStrategy:
     doc = read_document(doc, "strategy", ("x", "z"))
     names = VertexNames(og.names)
-    x, z = ({names.id(u): names.mask(targets, f"{key}({u})")
-             for u, targets in expect_json(doc[key], dict, key).items()}
-            for key in ("x", "z"))
+    x, z = (names.masks(doc[key], key) for key in ("x", "z"))
     return CorrectionStrategy(x, z)

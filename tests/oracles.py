@@ -13,17 +13,30 @@ flips signs, `reorder_generators` multiplies and swaps, and `collapse`
 multiplies the generators anticommuting with m by the pivot (so they commute
 with m and stay Hermitian) and puts +-m, checked by `measure_outcome`, in its
 place.
+
+The document readers' references resolve every name on its own:
+`reference_parse` is the `.mcpat` reader line by line as it was before the
+one-pass reader, and `reference_open_graph_from_json` and
+`reference_flow_from_json` and `reference_strategy_from_json` read a JSON
+document name by name, with no bulk lookups.  The library readers must give
+equal objects or the same error.
 """
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from mbqcflow.errors import ContractError
+from mbqcflow.errors import ContractError, CycleError, FormatError, PatternSyntaxError
+from mbqcflow.flows import CorrectionFlow, PartialOrder
 from mbqcflow.gf2 import echelon, mask_of, members, solve
-from mbqcflow.patterns import Mbqc, measurement_linearization
+from mbqcflow.graphs import (Graph, MeasurementLabel, OpenGraph, VertexNames,
+                             expect_json, read_document)
+from mbqcflow.patterns import (Command, CorrectX, CorrectZ, Entangle, Mbqc,
+                               Measure, New, Pattern, _parse_angle,
+                               measurement_linearization)
 from mbqcflow.stabilizer import (PauliOperator, StabilizerState,
                                  initial_stabilizers, measurement_operator)
+from mbqcflow.synthesis import CorrectionStrategy
 
 
 def _supported_combinations(generators: Sequence[PauliOperator], support: int,
@@ -227,3 +240,125 @@ def pauli_runs(
         branches = nxt
     return branches
 
+
+def reference_parse(text: str) -> Pattern:
+    """The `.mcpat` reader as it was before the one-pass reader: each line's
+    comment split off, each name resolved through `vid`, each label and
+    angle parsed where it appears."""
+    names: List[str] = []
+    index: Dict[str, int] = {}
+    declared = False
+
+    def vid(token: str, lineno: int) -> int:
+        if token not in index:
+            if declared:
+                raise PatternSyntaxError(f"undeclared vertex {token!r}", lineno)
+            index[token] = len(names)
+            names.append(token)
+        return index[token]
+
+    input_names: List[Tuple[str, int]] = []
+    output_names: List[Tuple[str, int]] = []
+    commands: List[Command] = []
+    saw_output_header = False
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        tokens = line.split()
+        head = tokens[0]
+        if head == "vertices:":
+            if names:
+                raise PatternSyntaxError("vertices header must come first", lineno)
+            for tok in tokens[1:]:
+                if tok in index:
+                    raise PatternSyntaxError(f"duplicate vertex {tok!r}", lineno)
+                index[tok] = len(names)
+                names.append(tok)
+            declared = True
+        elif head == "input:":
+            input_names.extend((tok, lineno) for tok in tokens[1:])
+        elif head == "output:":
+            saw_output_header = True
+            output_names.extend((tok, lineno) for tok in tokens[1:])
+        elif head == "N":
+            if len(tokens) != 2:
+                raise PatternSyntaxError("N takes one qubit", lineno)
+            commands.append(New(vid(tokens[1], lineno)))
+        elif head == "E":
+            if len(tokens) != 3:
+                raise PatternSyntaxError("E takes two qubits", lineno)
+            a, b = vid(tokens[1], lineno), vid(tokens[2], lineno)
+            if a == b:
+                raise PatternSyntaxError("E needs two distinct qubits", lineno)
+            commands.append(Entangle(a, b))
+        elif head == "M":
+            if len(tokens) < 3:
+                raise PatternSyntaxError("M takes a qubit, a label and an angle", lineno)
+            q = vid(tokens[1], lineno)
+            try:
+                label = MeasurementLabel.from_string(tokens[2])
+            except ValueError as e:
+                raise PatternSyntaxError(str(e), lineno) from e
+            commands.append(Measure(q, label, _parse_angle(tokens[3:], lineno)))
+        elif head in ("X", "Z"):
+            if len(tokens) != 3 or not (tokens[2].startswith("s(") and tokens[2].endswith(")")):
+                raise PatternSyntaxError(f"{head} takes a qubit and a signal s(v)", lineno)
+            q = vid(tokens[1], lineno)
+            s = vid(tokens[2][2:-1], lineno)
+            commands.append(CorrectX(q, s) if head == "X" else CorrectZ(q, s))
+        else:
+            raise PatternSyntaxError(f"unknown command {head!r}", lineno, raw.index(head) + 1)
+    inputs = mask_of(index[tok] if tok in index else vid(tok, ln) for tok, ln in input_names)
+    if saw_output_header:
+        outputs = mask_of(vid(tok, ln) for tok, ln in output_names)
+    else:
+        measured = mask_of(c.qubit for c in commands if isinstance(c, Measure))
+        outputs = ((1 << len(names)) - 1) & ~measured
+    return Pattern(len(names), tuple(commands), inputs, outputs, tuple(names))
+
+
+def _pairs_by_name(names: VertexNames, value, what: str, item: str) -> List[List[int]]:
+    return [names.ids(pair, item, 2) for pair in expect_json(value, list, what)]
+
+
+def reference_open_graph_from_json(doc: Union[str, dict]) -> OpenGraph:
+    """`open_graph_from_json` resolving every name and label on its own, its
+    graph through the checking constructor."""
+    doc = read_document(doc, "open-graph", ("vertices", "edges", "inputs", "outputs"))
+    names = VertexNames(doc["vertices"])
+    edges = _pairs_by_name(names, doc["edges"], "edges", "edge")
+    labels = {names.id(v): MeasurementLabel.from_string(s)
+              for v, s in expect_json(doc.get("labels", {}), dict, "labels").items()}
+    try:
+        n = len(names.names)
+        g = Graph(n, Graph.from_edges(n, edges).adjacency)
+        return OpenGraph(g, mask_of(names.ids(doc["inputs"], "inputs")),
+                         mask_of(names.ids(doc["outputs"], "outputs")), labels, names.names)
+    except ValueError as e:
+        raise FormatError(str(e)) from e
+
+
+def reference_flow_from_json(doc: Union[str, dict], og: OpenGraph) -> CorrectionFlow:
+    """`flow_from_json` resolving every name on its own, its order through
+    `PartialOrder.from_pairs`."""
+    doc = read_document(doc, "flow", ("p",))
+    names = VertexNames(og.names)
+    p = {names.id(u): mask_of(names.ids(targets, f"p({u})"))
+         for u, targets in expect_json(doc["p"], dict, "p").items()}
+    pairs = _pairs_by_name(names, doc.get("order", []), "order", "order pair")
+    try:
+        order = PartialOrder.from_pairs(og.n, pairs)
+    except CycleError as e:
+        raise FormatError(f"order has a cycle through vertex {og.names[e.vertex]}") from e
+    return CorrectionFlow(p, order)
+
+
+def reference_strategy_from_json(doc: Union[str, dict], og: OpenGraph) -> CorrectionStrategy:
+    """`strategy_from_json` resolving every name on its own."""
+    doc = read_document(doc, "strategy", ("x", "z"))
+    names = VertexNames(og.names)
+    x, z = ({names.id(u): mask_of(names.ids(targets, f"{key}({u})"))
+             for u, targets in expect_json(doc[key], dict, key).items()}
+            for key in ("x", "z"))
+    return CorrectionStrategy(x, z)

@@ -15,7 +15,10 @@ from mbqcflow.errors import RewriteError
 from mbqcflow.flows import flow_from_json
 from mbqcflow.graphs import (Graph, MeasurementLabel, OpenGraph,
                              open_graph_from_json, open_graph_to_json)
-from mbqcflow.patterns import parse, standardize
+from mbqcflow.patterns import (Angle, Mbqc, parse, print_pattern, standardize,
+                               to_pattern)
+from mbqcflow.search import find_pauli_flow
+from mbqcflow.synthesis import completed_order, synthesize_corrections
 
 
 @pytest.fixture
@@ -315,7 +318,23 @@ def _graph_doc(**changes):
     return doc
 
 
+def _wide_pattern() -> bytes:
+    """The standard pattern of a 32 x 2 XY cluster state: 32 inputs, more
+    than any simulation capacity; 2^32 input columns must never be built."""
+    rows = 32
+    edges = [(2 * i, 2 * i + 1) for i in range(rows)]
+    edges += [(2 * i + j, 2 * i + 2 + j) for i in range(rows - 1) for j in range(2)]
+    column = [sum(1 << (2 * i + j) for i in range(rows)) for j in range(2)]
+    og = OpenGraph(Graph.from_edges(2 * rows, edges), column[0], column[1],
+                   {2 * i: MeasurementLabel.XY for i in range(rows)})
+    flow = find_pauli_flow(og).flow
+    m = Mbqc(og, {u: Angle.from_fraction(1, 4) for u in og.labels},
+             synthesize_corrections(og, flow))
+    return print_pattern(to_pattern(m, completed_order(og, flow))).encode()
+
+
 _FORK_FLOW = ["verify-flow", "graph.json", "flow.json"]
+_WIDE = _wide_pattern()
 
 MALFORMED = {
     "angle-without-equals": (["parallelize", "path.json", "--angle", "foo"], {}),
@@ -342,6 +361,9 @@ MALFORMED = {
     "pattern-pauli-radians-robust": (["check", "pat.json"], {"pat.json": _pattern_doc(
         {"type": "M", "qubit": "a", "label": "X", "angle": {"radians": 1.0}})}),
     "generate-empty-label-pool": (["generate", "--n", "3", "--labels", ","], {}),
+    **{f"pattern-32-inputs-{level}": (["check", "--level", level, "wide.mcpat"],
+                                      {"wide.mcpat": _WIDE})
+       for level in ("det", "strong", "robust")},
     "flow-order-cycle": (["verify-flow", "abcd.json", "flow.json"], {
         "abcd.json": open_graph_to_json(OpenGraph(
             Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)]), 0, 0b1000,
@@ -349,7 +371,10 @@ MALFORMED = {
         "flow.json": {"p": {"a": ["b"], "b": ["c"], "c": ["d"]},
                       "order": [["c", "b"], ["b", "c"]]}}),
 }
-ERROR_NAMES = {"flow-order-cycle": "error: order has a cycle through vertex b"}
+ERROR_NAMES = {"flow-order-cycle": "error: order has a cycle through vertex b",
+               **{f"pattern-32-inputs-{level}":
+                  "error: simulation bounded to 12 outcome and qubit axes"
+                  for level in ("det", "strong", "robust")}}
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))

@@ -61,6 +61,39 @@ class TestMeasurementLabel:
         assert not MeasurementLabel.XY.is_real
         assert not MeasurementLabel.YZ.is_real
 
+    def test_attributes_match_their_definitions(self):
+        assert len(MeasurementLabel) == 6
+        for lab in MeasurementLabel:
+            assert lab.axes == lab.value and isinstance(lab.axes, frozenset)
+            assert lab.is_pauli == (len(lab.value) == 1)
+            assert lab.is_plane == (len(lab.value) == 2)
+            assert lab.is_real == (lab.value <= frozenset("XZ"))
+
+    @staticmethod
+    def sorted_upper(s):
+        """The lookup before canonical names were tried first."""
+        key = "".join(sorted(s.upper())) if isinstance(s, str) else None
+        if key not in MeasurementLabel.__members__:
+            raise FormatError(f"unknown measurement label {s!r}")
+        return MeasurementLabel.__members__[key]
+
+    @staticmethod
+    def outcome(read, s):
+        try:
+            return read(s)
+        except FormatError as e:
+            return str(e)
+
+    def test_from_string_matches_the_sorted_upper_lookup(self):
+        texts = ["W", "XYZ", "", "xx", "XX", " X", "X ", "pi", "Xz", "yx", "zY", "Ω"]
+        for lab in MeasurementLabel:
+            for order in itertools.permutations(lab.name):
+                for cases in itertools.product((str.upper, str.lower), repeat=len(order)):
+                    texts.append("".join(case(a) for case, a in zip(cases, order)))
+        for s in texts + [None, 1, 1.5, ["X"], ("X",), {"X": 1}, b"X", frozenset("X")]:
+            assert self.outcome(MeasurementLabel.from_string, s) == \
+                self.outcome(self.sorted_upper, s), s
+
 
 class TestGraph:
     def test_from_edges_rejects_bad_input(self):
@@ -70,6 +103,35 @@ class TestGraph:
             Graph.from_edges(2, [(0, 2)])
         with pytest.raises(ValueError):
             Graph.from_edges(3, [(0, 1), (1, 0)])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(-1, 5), st.lists(st.tuples(st.integers(-1, 5), st.integers(-1, 5)),
+                                        max_size=8))
+    def test_unchecked_rows_equal_the_checked_constructor(self, n, edges):
+        """from_edges skips the constructor's checks, but gives the graph, or
+        the ValueError text, of the seen-set build passed through them."""
+        def checked():
+            adj, seen = [0] * n, set()
+            for a, b in edges:
+                if not (0 <= a < n and 0 <= b < n):
+                    raise ValueError(f"edge ({a},{b}) out of range for n={n}")
+                if a == b:
+                    raise ValueError(f"self-loop on vertex {a}")
+                key = (min(a, b), max(a, b))
+                if key in seen:
+                    raise ValueError(f"duplicate edge {key}")
+                seen.add(key)
+                adj[a] |= 1 << b
+                adj[b] |= 1 << a
+            return Graph(n, tuple(adj))
+
+        def outcome(build):
+            try:
+                return build()
+            except ValueError as e:
+                return str(e)
+
+        assert outcome(lambda: Graph.from_edges(n, edges)) == outcome(checked)
 
     def test_edges_sorted_pairs(self):
         g = Graph.from_edges(4, [(2, 0), (3, 1)])

@@ -1,6 +1,7 @@
 """Pattern representation, validation, rewriting and both serializations."""
 
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -15,9 +16,12 @@ from mbqcflow.patterns import (Angle, CorrectX, CorrectZ, Entangle, Mbqc,
                                pattern_to_json, print_pattern, standardize,
                                to_pattern, validate)
 from mbqcflow.flows import PartialOrder
+from mbqcflow.gf2 import members
+from mbqcflow.instances import InstanceSpec, generate_instance
 from mbqcflow.search import find_pauli_flow
 from mbqcflow.statevec import run_pattern
-from mbqcflow.synthesis import CorrectionStrategy, synthesize_corrections
+from mbqcflow.synthesis import (CorrectionStrategy, completed_order, linearize,
+                                synthesize_corrections)
 
 
 class TestAngle:
@@ -165,6 +169,12 @@ class TestMbqcConversion:
         with pytest.raises(ContractError):
             measurement_linearization(m, rev)
 
+    @pytest.mark.parametrize("size", [2, 4])
+    def test_order_of_another_size_rejected(self, size):
+        m = make_mbqc()  # 3 vertices
+        with pytest.raises(ContractError, match="order size does not match the graph"):
+            to_pattern(m, PartialOrder.empty(size))
+
     def test_pauli_angle_must_be_exact(self):
         m = make_mbqc()
         with pytest.raises(ContractError, match="exact angle 0 or pi"):
@@ -191,6 +201,75 @@ class TestMbqcConversion:
         assert not is_standard(shuffled)
         with pytest.raises(ContractError):
             of_pattern(shuffled)
+
+
+def close_always_pattern(m, order=None):
+    """to_pattern as built before the fast path: the strategy order joined
+    with `order` and closed by `_close` every time, then one command list
+    from `members` per row."""
+    rows = list(m.induced_order.succ)
+    if order is not None:
+        for u, row in enumerate(order.succ):
+            if (m.og.measured >> u) & 1:
+                rows[u] |= row & m.og.measured
+    try:
+        induced = PartialOrder._close(m.og.n, rows)
+    except ValueError as e:
+        raise ContractError(f"order conflicts with the strategy: {e}") from e
+    og, cmds = m.og, []
+    cmds += [New(u) for u in members(og.non_inputs)]
+    cmds += [Entangle(a, b) for a, b in og.graph.edges()]
+    for u in linearize(induced, og.measured):
+        cmds.append(Measure(u, og.labels[u], m.angles[u]))
+        cmds += [CorrectX(v, u) for v in members(m.strategy.x[u])]
+        cmds += [CorrectZ(v, u) for v in members(m.strategy.z[u])]
+    return Pattern(og.n, tuple(cmds), og.inputs, og.outputs, og.names)
+
+
+def equivalence_cases(count, seed):
+    """Mbqcs with a flow on random instances (n = 3..10, all six labels),
+    their completed order, an order missing pairs of it and a conflicting one."""
+    rng = random.Random(seed)
+    cases, s = [], 0
+    while len(cases) < count:
+        s += 1
+        n = rng.randint(3, 10)
+        og = generate_instance(InstanceSpec(n=n, seed=s, n_inputs=rng.randint(0, 2),
+                                            n_outputs=rng.randint(1, 3), reject_input_z=True))
+        result = find_pauli_flow(og)
+        if not result.found:
+            continue
+        angles = {u: (PI_ANGLE if rng.random() < 0.5 else ZERO_ANGLE) if lab.is_pauli
+                  else Angle.from_fraction(rng.randrange(8), 4) for u, lab in og.labels.items()}
+        m = Mbqc(og, angles, synthesize_corrections(og, result.flow))
+        full = completed_order(og, result.flow)
+        chain = linearize(full, og.measured)
+        kept = [pair for pair in zip(chain, chain[1:]) if rng.random() < 0.5]
+        sparse = PartialOrder.from_pairs(og.n, kept)
+        relation = [(u, v) for u in og.labels for v in members(m.induced_order.succ[u])]
+        conflict = (PartialOrder.from_pairs(og.n, [relation[0][::-1]]) if relation else None)
+        cases.append((m, full, sparse, conflict))
+    return cases
+
+
+def test_to_pattern_matches_the_close_always_build():
+    """No order, the completed order (fast path), an order lacking strategy
+    pairs (closure path): the same Pattern; a conflicting order: the same
+    ContractError text."""
+    fast = closure = conflicts = 0
+    for m, full, sparse, conflict in equivalence_cases(150, seed=3):
+        for order in (None, full, sparse):
+            assert to_pattern(m, order) == close_always_pattern(m, order)
+        fast += not any(row & ~full.succ[u] for u, row in enumerate(m.induced_order.succ))
+        closure += any(row & ~sparse.succ[u] for u, row in enumerate(m.induced_order.succ))
+        if conflict is not None:
+            with pytest.raises(ContractError) as expected:
+                close_always_pattern(m, conflict)
+            with pytest.raises(ContractError) as got:
+                to_pattern(m, conflict)
+            assert str(got.value) == str(expected.value)
+            conflicts += 1
+    assert fast == 150 and closure > 50 and conflicts > 50, (fast, closure, conflicts)
 
 
 class TestTextFormat:

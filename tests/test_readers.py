@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mbqcflow.errors import FormatError
+from mbqcflow.errors import FormatError, PatternSyntaxError
 from mbqcflow.flows import flow_from_json
 from mbqcflow.graphs import (Graph, MeasurementLabel, OpenGraph, VertexNames,
                              expect_json, open_graph_from_json)
 from mbqcflow.patterns import parse, pattern_from_json
 from mbqcflow.synthesis import strategy_from_json
+from oracles import (reference_flow_from_json, reference_open_graph_from_json,
+                     reference_parse, reference_strategy_from_json)
 
 OG = OpenGraph(Graph.from_edges(3, [(0, 1), (1, 2)]), 0b001, 0b100,
                {0: MeasurementLabel.XY, 1: MeasurementLabel.X},
@@ -138,3 +140,80 @@ def test_text_raises_only_format_error(kind, text):
                                  "M b 3 0", "Q"]), max_size=6))
 def test_mcpat_lines_raise_only_format_error(lines):
     _read("mcpat", "\n".join(lines))
+
+
+def _parsed(read, text):
+    try:
+        return read(text)
+    except PatternSyntaxError as e:
+        return str(e), e.line, e.column
+
+
+MCPAT_LINES = ["N a", "E a b", "E a a", "M a XY 1/0 pi", "M a X 1e400", "X b s(a)",
+               "Z c s(q)", "vertices: a b", "input: a", "output: c", "M b 3 0", "Q"]
+EXTRA_LINES = ["", "   ", "# only a comment", "N b  # trailing comment", "\tE\tb\tc",
+               "M c yx 1/4 pi", "M b xy 3/4 pi", "M a Z 0", "M c XZ 0.5", "M c XY",
+               "Z b s()", "X a s(c", "vertices: a b c", "vertices:", "input: q",
+               "output: a q", "N zz", "E b zz", "  Q x #", "M a X 1 pi", "N a b"]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.sampled_from(MCPAT_LINES + EXTRA_LINES), max_size=8),
+       st.sampled_from(["\n", "\r\n", "\r"]))
+def test_parse_matches_the_reference_parser(lines, newline):
+    """The one-pass reader gives the reference's Pattern, or a
+    PatternSyntaxError with the same message, line and column."""
+    text = newline.join(lines)
+    assert _parsed(parse, text) == _parsed(reference_parse, text)
+
+
+def _read_outcome(read, doc):
+    try:
+        return read(doc)
+    except FormatError as e:
+        return type(e), str(e)
+
+
+_ABC = {"vertices": ["a", "b", "c"], "edges": [], "inputs": [], "outputs": ["c"]}
+STRING_FOR_ARRAY = [  # (kind, document, whether it must be rejected)
+    ("graph", dict(_ABC, edges=["ab"]), True),
+    ("graph", dict(_ABC, edges=[["a", "b"], "bc"]), True),
+    ("graph", dict(_ABC, inputs="a"), True),
+    ("graph", dict(_ABC, outputs="c"), True),
+    ("graph", dict(_ABC, labels={"a": ["X"], "b": "X"}), True),
+    ("graph", dict(_ABC, labels={"a": "yx", "b": "x"}), False),
+    ("flow", {"p": {"a": "bc"}}, True),
+    ("flow", {"p": {"a": ["b"], "b": "c"}}, True),
+    ("flow", {"p": {"a": ["b"], "b": ["c"]}, "order": ["ab"]}, True),
+    ("flow", {"p": {"a": ["b"], "b": ["c"]}, "order": [["a", "b"], "bc"]}, True),
+    ("flow", {"p": {"a": ["b", "b"], "b": ["c"]}, "order": [["a", "b"], ["a", "b"]]}, False),
+    ("strategy", {"x": {"a": "bc", "b": []}, "z": {"a": [], "b": []}}, True),
+    ("strategy", {"x": {"a": ["b"], "b": []}, "z": {"a": [], "b": "c"}}, True),
+]
+REFERENCE_READERS = {
+    "graph": (open_graph_from_json, reference_open_graph_from_json),
+    "flow": (lambda doc: flow_from_json(doc, OG), lambda doc: reference_flow_from_json(doc, OG)),
+    "strategy": (lambda doc: strategy_from_json(doc, OG),
+                 lambda doc: reference_strategy_from_json(doc, OG)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(REFERENCE_READERS))
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_bulk_readers_match_the_name_by_name_path(kind, data):
+    """The same object, or the same FormatError text, as resolving every name
+    on its own."""
+    doc = data.draw(near(DOCUMENTS[kind]))
+    read, reference = REFERENCE_READERS[kind]
+    for d in (doc, json.dumps(doc)):
+        assert _read_outcome(read, d) == _read_outcome(reference, d)
+
+
+@pytest.mark.parametrize("kind, doc, rejected", STRING_FOR_ARRAY)
+def test_string_for_array_is_rejected_like_the_name_by_name_path(kind, doc, rejected):
+    """A string where an array of names belongs is an error, never its letters."""
+    read, reference = REFERENCE_READERS[kind]
+    outcome = _read_outcome(read, doc)
+    assert outcome == _read_outcome(reference, doc)
+    assert (outcome[0] is FormatError if rejected else not isinstance(outcome, tuple)), outcome

@@ -503,6 +503,27 @@ class TestCapacity:
         # one total order over 12 measured vertices: 13 truncations of 8
         assert rep["checks"] == 13 * 8
 
+    def test_inputs_bounded_before_any_column_is_built(self, monkeypatch):
+        """|I| > capacity raises CapacityError before `_test_vectors` or
+        `np.eye` builds the 2^|I| input columns."""
+        def no_columns(*args, **kwargs):
+            raise AssertionError("input columns built before the capacity check")
+
+        m, order = grid(3, 2)  # 3 inputs
+        pat = to_pattern(m, order)
+        monkeypatch.setattr(statevec, "_test_vectors", no_columns)
+        monkeypatch.setattr(np, "eye", no_columns)
+        checks = [lambda: check_deterministic(pat, capacity=2),
+                  lambda: check_strong_deterministic(pat, capacity=2),
+                  lambda: check_strong_deterministic(pat, real_inputs=True, capacity=2),
+                  lambda: check_robust_deterministic(m, angle_samples=2, capacity=2),
+                  lambda: check_robust_deterministic(m, angle_samples=2, capacity=2,
+                                                     order=order),
+                  lambda: run_pattern(pat, capacity=2)]
+        for check in checks:
+            with pytest.raises(CapacityError, match="bounded to 2 outcome and qubit axes"):
+                check()
+
 
 def reference_deterministic(pat, tol, seed):
     """Per input column: the first branch with norm above tol is the
