@@ -75,6 +75,15 @@ def _require_options(samples: int, seed: int, tolerance: float = 0.0):
         _fail_parse(f"--tolerance: expected a finite value >= 0, got {tolerance}")
 
 
+def _mcpat(pat) -> str:
+    """The `.mcpat` text of `pat`; a vertex name the format cannot hold exits
+    with code 2."""
+    try:
+        return print_pattern(pat)
+    except FormatError as e:
+        _fail_parse(str(e))
+
+
 def _pattern_measurement_order(pat) -> PartialOrder:
     """Total order of the pattern's measurement sequence (abort points)."""
     return PartialOrder.chain(
@@ -159,7 +168,7 @@ def cmd_synthesize(graph_file, angle_opts, output):
         sys.exit(1)
     strategy = synthesize_corrections(og, result.flow)
     m = Mbqc(og, angles, strategy)
-    _emit(print_pattern(to_pattern(m, result.flow.order)), output)
+    _emit(_mcpat(to_pattern(m, result.flow.order)), output)
     sys.exit(0)
 
 
@@ -235,7 +244,7 @@ def cmd_parallelize(graph_file, angle_opts, as_json, output):
     # parallelize checked the normal-form equations, which put every x'(u)
     # and z'(u) on outputs: no correction targets a measured vertex, depth 1.
     m = Mbqc(og, angles, strategy)
-    text = print_pattern(to_pattern(m, order))
+    text = _mcpat(to_pattern(m, order))
     if as_json:
         click.echo(json.dumps({"depth": 1, "pattern": text}, indent=2))
         if output:

@@ -4,13 +4,21 @@ Two independent checkers are provided: `verify_pauli_flow` evaluates the
 three simplified conditions (one per Pauli axis), `verify_pauli_flow_original`
 evaluates the nine-condition definition literally.  They are kept separate on
 purpose so that tests can confront them on exhaustively enumerated instances.
+
+Flow documents (`flow_to_json`, `flow_from_json`) write a weak order, whose
+layers each sit wholly below the next (every order `find_pauli_flow`
+returns), as its `"layers"`, one name list per layer, earliest measured
+first: linear in n, where the covering pairs of two consecutive layers are
+their product.  Any other order is written as its covering pairs,
+`"order"`.  The reader takes either, never both.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property
-from typing import Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from itertools import chain
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import ContractError, CycleError, FormatError
 from .gf2 import mask_of, members
@@ -26,14 +34,15 @@ class PartialOrder:
     The constructor checks, in one pass, that u is never in succ[u] and that
     succ[v] is a subset of succ[u] for every v in succ[u].  Rows closed by
     construction skip it (`_closed`): `chain`, the layered order of
-    `find_pauli_flow`, a join already inside its order (`measurement_order`),
-    and `from_pairs` and the other joins via `_close`, a depth-first closure
-    that closes each row once, skips covered successors and takes the
-    lowest or highest pending one, whichever has the larger row, so chains
-    close in linear time either way (`minimal` walks alike).
+    `find_pauli_flow` and of a `"layers"` flow document, a join already
+    inside its order (`measurement_order`), and `from_pairs` and the other
+    joins via `_close`, a depth-first closure that closes each row once,
+    skips covered successors and takes the lowest or highest pending one,
+    whichever has the larger row, so chains close in linear time either way
+    (`minimal` walks alike).
     A closed row, the set reachable from u, depends only on u's relation
     row, so vertices with equal relation rows share one: the siblings of a
-    layered cover document close once per layer, not once per vertex.
+    layered cover-pair document close once per layer, not once per vertex.
     A cycle's frames fold into one, so rows are the reachable sets of
     Warshall's closure and CycleError names its vertex, the lowest u in u's row.
     """
@@ -209,9 +218,11 @@ def verify_pauli_flow(og: OpenGraph, f: CorrectionFlow) -> Verdict:
     odd neighbourhood (Y) or the set itself (Z): u must lie in K_A(p(u)) and
     outside K_A(p(v)) for every measured v != u with not(v < u).  One pass
     over v computes each K_A(p(v)) once and collects own[A] = {u : u in
-    K_A(p(u))} and hit[A] = {u : u in K_A(p(v)) for some such v}.  u and its
-    axes are walked in ascending order, so the first violation is that
-    walk's; a hit's witness is the lowest such v, found only on failure.
+    K_A(p(u))} and hit[A] = {u : u in K_A(p(v)) for some such v}.  The
+    conditions hold exactly when, for each axis A, no vertex whose label has
+    A lies outside own[A] or inside hit[A]: three mask tests.  Only when one
+    fails are u and its axes walked in ascending order, so the first
+    violation is that walk's; a hit's witness is the lowest such v.
     """
     _check_well_formed(og, f)
     succ, odds = f.order.succ, {}
@@ -225,6 +236,9 @@ def verify_pauli_flow(og: OpenGraph, f: CorrectionFlow) -> Verdict:
         hit_x |= odd & free
         hit_y |= (odd ^ c) & free
         hit_z |= c & free
+    if not (og.axis_vertices("X") & (~own_x | hit_x) or og.axis_vertices("Y") & (~own_y | hit_y)
+            or og.axis_vertices("Z") & (~own_z | hit_z)):
+        return _OK
     own, hit = {"X": own_x, "Y": own_y, "Z": own_z}, {"X": hit_x, "Y": hit_y, "Z": hit_z}
     for u in sorted(f.p):
         for axis in sorted(og.labels[u].axes):
@@ -313,26 +327,90 @@ def input_label_constraint(og: OpenGraph) -> Verdict:
     return _OK
 
 
+def _layers(order: PartialOrder, domain: int) -> Optional[List[int]]:
+    """The layers of `order` (masks, earliest measured first) when it is a
+    weak order on `domain`: every row outside `domain` is empty and every
+    row inside is the union of the layers after its own.  Else None."""
+    layer_of: Dict[int, int] = {}  # row -> the vertices of domain with that row
+    for u, row in enumerate(order.succ):
+        if (domain >> u) & 1:
+            layer_of[row] = layer_of.get(row, 0) | 1 << u
+        elif row:
+            return None
+    layers, above = [], 0
+    for row in sorted(layer_of, key=int.bit_count):  # the last layer first
+        if row != above:
+            return None
+        layers.append(layer_of[row])
+        above |= layer_of[row]
+    return layers[::-1]
+
+
 def flow_to_json(f: CorrectionFlow, names: Tuple[str, ...]) -> dict:
-    """The order is written as its covering pairs (u, v), v minimal in succ[u]."""
+    """A weak order on p's domain (every `find_pauli_flow` order is one) is
+    written as `"layers"`, name lists earliest measured first; any other
+    order as its covering pairs (u, v), v minimal in succ[u].  The layers
+    list p's domain, which `flow_from_json` requires to be measured, as it
+    is in every well-formed flow."""
     order = f.order
+    doc = {"p": {names[u]: [names[v] for v in members(c)] for u, c in sorted(f.p.items())}}
+    layers = _layers(order, mask_of(f.p))
+    if layers is not None:
+        doc["layers"] = [[names[v] for v in members(layer)] for layer in layers]
+        return doc
 
     @cache  # rows repeat along layered orders
     def cover(row: int) -> List[str]:
         return [names[v] for v in members(order.minimal(row))]
 
-    return {
-        "p": {names[u]: [names[v] for v in members(c)] for u, c in sorted(f.p.items())},
-        "order": [[names[u], v] for u, row in enumerate(order.succ) if row
-                  for v in cover(row)],
-    }
+    doc["order"] = [[names[u], v] for u, row in enumerate(order.succ) if row
+                    for v in cover(row)]
+    return doc
+
+
+def _order_of_layers(layers: List[List[int]], og: OpenGraph) -> PartialOrder:
+    """The weak order whose layers of ids are listed earliest measured first:
+    succ[u] is the union of the layers after u's, and an unlisted vertex
+    has an empty row.
+
+    One pass from the last layer back, closed and acyclic by construction:
+    for v in succ[u], v's layer comes after u's, so succ[v] lies in succ[u];
+    and u, listed once, is in no layer after its own.  An id listed twice or
+    not measured raises FormatError, the first such one in document order."""
+    succ, above, measured = [0] * og.n, 0, og.measured
+    for ids in reversed(layers):
+        mask = mask_of(ids)
+        if mask & above or mask & ~measured or mask.bit_count() != len(ids):
+            _reject_misplaced(layers, og)
+        for u in ids:
+            succ[u] = above
+        above |= mask
+    return PartialOrder._closed(og.n, tuple(succ))
+
+
+def _reject_misplaced(layers: List[List[int]], og: OpenGraph) -> None:
+    """Raise FormatError for the first id, in document order, listed twice or
+    not measured."""
+    seen = 0
+    for u in chain.from_iterable(layers):
+        if (seen >> u) & 1:
+            raise FormatError(f"layers list vertex {og.names[u]!r} twice")
+        if not (og.measured >> u) & 1:
+            raise FormatError(f"layers list vertex {og.names[u]!r}, which is not measured")
+        seen |= 1 << u
 
 
 def flow_from_json(doc: Union[str, dict], og: OpenGraph) -> CorrectionFlow:
-    """The order may list any pairs whose closure is the order."""
+    """The order is read from `"layers"` (see flow_to_json) or from
+    `"order"`, which may list any pairs whose closure is the order; a
+    document without either has the empty order."""
     doc = read_document(doc, "flow", ("p",))
+    if "order" in doc and "layers" in doc:
+        raise FormatError("flow document holds both 'order' and 'layers'")
     names = VertexNames(og.names)
     p = names.masks(doc["p"], "p")
+    if "layers" in doc:
+        return CorrectionFlow(p, _order_of_layers(names.lists(doc["layers"], "layers", "layer"), og))
     pairs = names.pairs(doc.get("order", []), "order", "order pair")
     try:
         order = PartialOrder.from_pairs(og.n, pairs)

@@ -36,7 +36,17 @@ def echelon(rows: Iterable[int], ncols: int) -> Tuple[Dict[int, int], int]:
     column, its row's highest coefficient bit, to that row, in which every
     other pivot column is clear; bit k of `inconsistent` is set exactly when
     system k has no solution (its bit survives on a row eliminated to zero).
-    The reduced rows depend only on the row space, not on the row order.
+
+    What depends only on the row space R of the given rows, not on their
+    order: the pivot columns and the coefficient part of each pivot row
+    (the reduced echelon form of R's coefficient parts, unique once each
+    pivot is its row's highest bit); `inconsistent`, whose bit k is set
+    exactly when some element of R has zero coefficients and bit k set (the
+    rows eliminated to zero span those elements); and each pivot row's
+    right-hand-side bit k for every consistent system k, since the pivot
+    row is fixed up to those elements and they all have bit k clear.  The
+    bits of inconsistent systems may differ: [0b011, 0b101] and its reverse,
+    with ncols = 1, give pivot rows 3 and 5.
     """
     coeffs = (1 << ncols) - 1
     pivots: Dict[int, int] = {}

@@ -285,6 +285,14 @@ class VertexNames:
                 return [(index[a], index[b]) for a, b in pairs]
         return [self.ids(pair, item, 2) for pair in pairs]  # raises
 
+    def lists(self, value, what: str, item: str) -> List[List[int]]:
+        """Ids of an array of name arrays in one pass, else the per-name errors."""
+        lists, index = expect_json(value, list, what), self.index
+        with suppress(KeyError, TypeError):
+            if set(map(type, lists)) <= {list}:  # never a string's letters
+                return [[index[name] for name in names] for names in lists]
+        return [self.ids(names, item) for names in lists]  # raises
+
     def mask(self, value, what: str) -> int:
         """The set of a JSON array of names in one pass, else the per-name errors."""
         names = expect_json(value, list, what)
@@ -307,8 +315,11 @@ def open_graph_from_json(doc: Union[str, dict]) -> OpenGraph:
     doc = read_document(doc, "open-graph", ("vertices", "edges", "inputs", "outputs"))
     names = VertexNames(doc["vertices"])
     edges = names.pairs(doc["edges"], "edges", "edge")
-    labels = {names.id(v): MeasurementLabel.from_string(s)
-              for v, s in expect_json(doc.get("labels", {}), dict, "labels").items()}
+    labels = expect_json(doc.get("labels", {}), dict, "labels")
+    try:  # canonical names in one pass; the per-name path raises or reads spellings like "yx"
+        labels = {names.index[v]: _LABELS[s] for v, s in labels.items()}
+    except (KeyError, TypeError):
+        labels = {names.id(v): MeasurementLabel.from_string(s) for v, s in labels.items()}
     try:
         g = Graph.from_edges(len(names.names), edges)
         return OpenGraph(g, names.mask(doc["inputs"], "inputs"),

@@ -12,9 +12,10 @@ of each vertex of R) and differ only in the right-hand side (1 on u's own
 rows), so the rows are eliminated once with one right-hand-side bit per
 vertex of R.  u is unsolvable exactly when its bit survives on a row
 eliminated to zero; otherwise p(u) is the reduced-echelon solution, zero on
-every free column.  Each pivot is its row's highest bit, so the reduced form
-depends only on the row space, and p(u) is what `gf2.solve` returns for u's
-system alone.
+every free column.  p(u) reads only u's right-hand-side bits of the pivot
+rows, and for a consistent system those depend only on the row space (see
+`gf2.echelon`; the bits of unsolvable vertices do not), so p(u) is what
+`gf2.solve` returns for u's system alone, whatever the row order.
 
 Soundness: the order puts v < u exactly when v was solved in a later round.
 So every v != u with not(v < u) was solved while u was still in R, and p(v)

@@ -341,11 +341,25 @@ def reference_open_graph_from_json(doc: Union[str, dict]) -> OpenGraph:
 
 def reference_flow_from_json(doc: Union[str, dict], og: OpenGraph) -> CorrectionFlow:
     """`flow_from_json` resolving every name on its own, its order through
-    `PartialOrder.from_pairs`."""
+    `PartialOrder.from_pairs`: the given pairs, or every pair of names from
+    an earlier to a later layer."""
     doc = read_document(doc, "flow", ("p",))
+    if "order" in doc and "layers" in doc:
+        raise FormatError("flow document holds both 'order' and 'layers'")
     names = VertexNames(og.names)
     p = {names.id(u): mask_of(names.ids(targets, f"p({u})"))
          for u, targets in expect_json(doc["p"], dict, "p").items()}
+    if "layers" in doc:
+        layers = [names.ids(layer, "layer") for layer in expect_json(doc["layers"], list, "layers")]
+        listed = [u for layer in layers for u in layer]
+        for k, u in enumerate(listed):
+            if u in listed[:k]:
+                raise FormatError(f"layers list vertex {og.names[u]!r} twice")
+            if u not in og.labels:
+                raise FormatError(f"layers list vertex {og.names[u]!r}, which is not measured")
+        return CorrectionFlow(p, PartialOrder.from_pairs(og.n, [
+            (u, v) for i, layer in enumerate(layers) for later in layers[i + 1:]
+            for u in layer for v in later]))
     pairs = _pairs_by_name(names, doc.get("order", []), "order", "order pair")
     try:
         order = PartialOrder.from_pairs(og.n, pairs)

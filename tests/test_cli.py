@@ -94,7 +94,8 @@ class TestFindFlow:
         assert "depth" in doc
         assert doc["status"] == "found"
         assert set(doc["stats"]) == {"rounds", "solves"}
-        flow = flow_from_json({k: doc[k] for k in ("p", "order")}, og)
+        assert "order" not in doc  # the search's order is weak: written as layers
+        flow = flow_from_json({k: doc[k] for k in ("p", "layers")}, og)
         from mbqcflow.flows import verify_pauli_flow
         assert verify_pauli_flow(og, flow)
 
@@ -364,6 +365,11 @@ MALFORMED = {
     **{f"pattern-32-inputs-{level}": (["check", "--level", level, "wide.mcpat"],
                                       {"wide.mcpat": _WIDE})
        for level in ("det", "strong", "robust")},
+    "synthesize-name-with-space": (["synthesize", "named.json"], {"named.json": open_graph_to_json(
+        OpenGraph(fork_instance().graph, 0, 0b100, fork_instance().labels, ("1", "a b", "3")))}),
+    "parallelize-name-with-hash": (["parallelize", "named.json"], {"named.json": open_graph_to_json(
+        OpenGraph(bipartite_instance().graph, 0b001, 0b110, bipartite_instance().labels,
+                  ("a", "d#e", "c")))}),
     "flow-order-cycle": (["verify-flow", "abcd.json", "flow.json"], {
         "abcd.json": open_graph_to_json(OpenGraph(
             Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)]), 0, 0b1000,
@@ -372,6 +378,8 @@ MALFORMED = {
                       "order": [["c", "b"], ["b", "c"]]}}),
 }
 ERROR_NAMES = {"flow-order-cycle": "error: order has a cycle through vertex b",
+               "synthesize-name-with-space": "error: vertex name 'a b' cannot be written",
+               "parallelize-name-with-hash": "error: vertex name 'd#e' cannot be written",
                **{f"pattern-32-inputs-{level}":
                   "error: simulation bounded to 12 outcome and qubit axes"
                   for level in ("det", "strong", "robust")}}

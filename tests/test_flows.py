@@ -1,6 +1,7 @@
 """Flow verification: partial orders, both checkers, frozen instances."""
 
 import itertools
+import json
 import random
 
 import pytest
@@ -14,7 +15,7 @@ from mbqcflow.flows import (CorrectionFlow, PartialOrder, flow_from_json,
                             verify_causal_flow, verify_gflow,
                             verify_pauli_flow, verify_pauli_flow_original,
                             verify_real_pauli_flow)
-from mbqcflow.gf2 import members
+from mbqcflow.gf2 import mask_of, members
 from mbqcflow.graphs import (Graph, MeasurementLabel, OpenGraph,
                              closed_odd_neighborhood, odd_neighborhood,
                              open_graph_from_json)
@@ -419,11 +420,57 @@ def flow_documents():
         yield og, find_pauli_flow(og).flow
 
 
-def test_flow_json_writes_the_cover_relation():
-    """The emitted pairs close to the order, and none is implied by two others."""
-    seen = 0
+def thinned_flow_documents():
+    """The flow documents' orders closed from random parts (a third, two
+    thirds, nine tenths) of their cover pairs: mostly no longer weak orders."""
+    rng = random.Random(5)
     for og, f in flow_documents():
-        pairs = [(og.names.index(a), og.names.index(b)) for a, b in flow_to_json(f, og.names)["order"]]
+        covers = [(u, v) for u, row in enumerate(f.order.succ) if row
+                  for v in members(f.order.minimal(row))]
+        for keep in (0.3, 0.6, 0.9):
+            yield og, CorrectionFlow(f.p, PartialOrder.from_pairs(
+                og.n, [pair for pair in covers if rng.random() < keep]))
+
+
+def is_weak_on(order, domain):
+    """No row leaves `domain`, and incomparable vertices of `domain` have
+    equal rows above and below."""
+    if any(row & ~domain or row and not (domain >> u) & 1 for u, row in enumerate(order.succ)):
+        return False
+    return all(order.succ[u] == order.succ[v] and order.pred[u] == order.pred[v]
+               for u, v in itertools.combinations(members(domain), 2)
+               if not (order.less(u, v) or order.less(v, u)))
+
+
+def test_flow_json_writes_layers_exactly_for_weak_orders():
+    """Weak orders are written as layers, earliest measured first, each layer
+    wholly below the next; both kinds of document read back to the flow."""
+    kinds = {"layers": 0, "order": 0}
+    for og, f in itertools.chain(flow_documents(), thinned_flow_documents()):
+        doc = flow_to_json(f, og.names)
+        kind, = set(doc) - {"p"}
+        assert (kind == "layers") == is_weak_on(f.order, mask_of(f.p))
+        assert flow_from_json(doc, og) == f
+        assert flow_from_json(json.loads(json.dumps(doc)), og) == f
+        kinds[kind] += 1
+        if kind == "layers":
+            layers = [[og.names.index(a) for a in layer] for layer in doc["layers"]]
+            assert sorted(sum(layers, [])) == sorted(f.p)
+            assert all(layer == sorted(layer) for layer in layers)
+            assert all(f.order.less(u, v) for i, layer in enumerate(layers)
+                       for later in layers[i + 1:] for u in layer for v in later)
+    assert kinds["layers"] > 40 and kinds["order"] > 20, kinds
+
+
+def test_flow_json_writes_the_cover_relation():
+    """On orders that are not weak, the emitted pairs close to the order, and
+    none is implied by two others."""
+    seen = 0
+    for og, f in thinned_flow_documents():
+        doc = flow_to_json(f, og.names)
+        if "order" not in doc:
+            continue
+        pairs = [(og.names.index(a), og.names.index(b)) for a, b in doc["order"]]
         assert pairs == sorted(pairs)
         assert PartialOrder.from_pairs(og.n, pairs) == f.order
         assert not [(a, b) for a, b in pairs if f.order.succ[a] & f.order.pred[b]]
@@ -434,9 +481,44 @@ def test_flow_json_writes_the_cover_relation():
 def test_full_pair_documents_still_read():
     """A document listing every pair of the order reads to the same flow."""
     for og, f in flow_documents():
-        doc = flow_to_json(f, og.names)
-        doc["order"] = [[og.names[a], og.names[b]] for a, b in f.order.pairs()]
+        doc = {"p": flow_to_json(f, og.names)["p"],
+               "order": [[og.names[a], og.names[b]] for a, b in f.order.pairs()]}
         assert flow_from_json(doc, og) == f == flow_from_json(flow_to_json(f, og.names), og)
+
+
+ABCD = OpenGraph(Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)]), 0, 0b1000,
+                 dict.fromkeys(range(3), MeasurementLabel.XY), names=("a", "b", "c", "d"))
+P = {"a": ["b"], "b": ["c"], "c": ["d"]}
+
+
+@pytest.mark.parametrize("layers, message", [
+    ("abc", "layers must be a JSON array"),
+    (["abc"], "layer must be a JSON array"),
+    ([["a"], "bc"], "layer must be a JSON array"),
+    ([["a", "zz"]], "unknown vertex 'zz'"),
+    ([["a", 3]], "unknown vertex 3"),
+    ([["a", "b"], ["a"]], "layers list vertex 'a' twice"),
+    ([["c", "c"]], "layers list vertex 'c' twice"),
+    ([["a"], ["d"]], "layers list vertex 'd', which is not measured"),
+    ([["d", "a"], ["a"]], "layers list vertex 'd', which is not measured"),
+    ([["b", "a"], ["a", "d"]], "layers list vertex 'a' twice"),
+])
+def test_layers_reader_rejects(layers, message):
+    with pytest.raises(FormatError) as e:
+        flow_from_json({"p": P, "layers": layers}, ABCD)
+    assert str(e.value) == message
+
+
+def test_layers_and_order_are_exclusive():
+    with pytest.raises(FormatError, match="^flow document holds both 'order' and 'layers'$"):
+        flow_from_json({"p": P, "layers": [], "order": []}, ABCD)
+
+
+def test_layers_may_leave_vertices_out():
+    """Unlisted vertices are above and below none; an empty list is the empty order."""
+    assert flow_from_json({"p": P, "layers": []}, ABCD).order == PartialOrder.empty(4)
+    order = flow_from_json({"p": P, "layers": [["c"], [], ["a"]]}, ABCD).order
+    assert order == PartialOrder.from_pairs(4, [(2, 0)])
 
 
 def verify_pauli_flow_pairwise(og, f):

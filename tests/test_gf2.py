@@ -14,6 +14,26 @@ def to_matrix(rows, ncols):
                     dtype=np.int64)
 
 
+def test_echelon_of_inconsistent_rows_depends_on_their_order():
+    assert echelon([0b011, 0b101], 1) == ({0: 3}, 3)
+    assert echelon([0b101, 0b011], 1) == ({0: 5}, 3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 2 ** 9 - 1), max_size=8), st.integers(1, 6), st.randoms())
+def test_echelon_invariants_do_not_depend_on_row_order(rows, ncols, rng):
+    """Pivot columns, coefficient parts, the inconsistent mask and the
+    right-hand-side bits of consistent systems are the same for every row order."""
+    shuffled = rows[:]
+    rng.shuffle(shuffled)
+    coeffs = (1 << ncols) - 1
+    a, b = echelon(rows, ncols), echelon(shuffled, ncols)
+    assert a[1] == b[1] and a[0].keys() == b[0].keys()
+    for col in a[0]:
+        assert a[0][col] & coeffs == b[0][col] & coeffs
+        assert a[0][col] >> ncols & ~a[1] == b[0][col] >> ncols & ~b[1]
+
+
 def test_mask_members_roundtrip():
     assert mask_of([0, 3, 5]) == 0b101001
     assert members(0b101001) == [0, 3, 5]

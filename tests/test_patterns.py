@@ -1,13 +1,19 @@
 """Pattern representation, validation, rewriting and both serializations."""
 
+import copy
 import math
+import pickle
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mbqcflow.errors import (ContractError, PatternSyntaxError, RewriteError)
+from mbqcflow.errors import (ContractError, FormatError, PatternSyntaxError,
+                             RewriteError)
 from mbqcflow.graphs import Graph, MeasurementLabel, OpenGraph
 from mbqcflow.patterns import (Angle, CorrectX, CorrectZ, Entangle, Mbqc,
                                Measure, New, Pattern, PI_ANGLE, ZERO_ANGLE,
@@ -50,6 +56,57 @@ class TestAngle:
             Angle(1.0, Fraction(1, 2))
         with pytest.raises(ValueError):
             Angle(-0.5)
+
+
+class TestCommands:
+    """Commands are immutable values: equal by exact class and fields."""
+
+    EXAMPLES = [New(3), Entangle(1, 2), CorrectX(1, 2), CorrectZ(1, 2),
+                Measure(0, MeasurementLabel.XY, Angle.from_fraction(1, 4)),
+                Measure(0, MeasurementLabel.X, Angle.from_radians(1.5))]
+
+    def test_equality_and_hash_by_exact_class_and_fields(self):
+        assert CorrectX(1, 2) != CorrectZ(1, 2)
+        assert CorrectX(1, 2) != CorrectX(2, 1)
+        assert New(1) != Measure(1, MeasurementLabel.X, ZERO_ANGLE)
+        assert New(1) != 1 and New(1) != (1,)
+        for cmd in self.EXAMPLES:
+            twin = type(cmd)(*(getattr(cmd, f) for f in self.fields(cmd)))
+            assert twin == cmd and not twin != cmd and hash(twin) == hash(cmd)
+            assert twin is not cmd
+        assert len(set(self.EXAMPLES + [CorrectZ(1, 2), New(3)])) == len(self.EXAMPLES)
+
+    @staticmethod
+    def fields(cmd):
+        return {New: ("qubit",), Entangle: ("a", "b"), CorrectX: ("qubit", "signal"),
+                CorrectZ: ("qubit", "signal"), Measure: ("qubit", "label", "angle")}[type(cmd)]
+
+    def test_keyword_construction_and_repr(self):
+        assert New(qubit=3) == New(3) and repr(New(qubit=3)) == "New(qubit=3)"
+        assert repr(Entangle(a=1, b=2)) == "Entangle(a=1, b=2)"
+        assert repr(CorrectX(1, 2)) == "CorrectX(qubit=1, signal=2)"
+        assert repr(CorrectZ(qubit=1, signal=2)) == "CorrectZ(qubit=1, signal=2)"
+        angle = Angle.from_fraction(1, 4)
+        assert repr(Measure(qubit=0, label=MeasurementLabel.XY, angle=angle)) == (
+            f"Measure(qubit=0, label={MeasurementLabel.XY!r}, angle={angle!r})")
+
+    def test_fields_cannot_be_assigned_or_added(self):
+        for cmd in self.EXAMPLES:
+            for field in self.fields(cmd) + ("extra",):
+                with pytest.raises(AttributeError):
+                    setattr(cmd, field, 0)
+            with pytest.raises(AttributeError):
+                delattr(cmd, self.fields(cmd)[0])
+        assert self.EXAMPLES[0] == New(3)
+
+    def test_entangle_needs_two_distinct_qubits(self):
+        with pytest.raises(ValueError, match="two distinct qubits"):
+            Entangle(2, 2)
+
+    def test_copies_and_pickles_are_equal(self):
+        for cmd in self.EXAMPLES:
+            for twin in (copy.copy(cmd), copy.deepcopy(cmd), pickle.loads(pickle.dumps(cmd))):
+                assert twin == cmd and type(twin) is type(cmd)
 
 
 def simple_pattern():
@@ -312,6 +369,16 @@ class TestTextFormat:
         with pytest.raises(PatternSyntaxError):
             parse("N 1\nvertices: a\n")  # header not first
 
+    @pytest.mark.parametrize("bad", ["", "a b", "d#e", "#", "x\ty", "z\n", "u\u2028v"])
+    def test_names_the_format_cannot_hold_are_rejected(self, bad):
+        """Names are whitespace-separated tokens and `#` starts a comment, so
+        such a name would read back as another pattern; JSON takes it."""
+        pat = to_pattern(make_mbqc())
+        named = Pattern(pat.n, pat.commands, pat.inputs, pat.outputs, ("0", bad, "2"))
+        with pytest.raises(FormatError, match=f"^vertex name {re.escape(repr(bad))} cannot"):
+            print_pattern(named)
+        assert pattern_from_json(pattern_to_json(named)) == named
+
     def test_json_roundtrip(self):
         pat = to_pattern(make_mbqc())
         doc = pattern_to_json(pat)
@@ -325,3 +392,27 @@ class TestTextFormat:
         pat = Pattern(2, cmds, inputs=0b01, outputs=0b10)
         back = pattern_from_json(pattern_to_json(pat))
         assert back == pat
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**6), n=st.integers(3, 10), n_inputs=st.integers(0, 2),
+       n_outputs=st.integers(1, 3), exact=st.booleans(), completed=st.booleans())
+def test_print_parse_roundtrip_of_compiled_patterns(seed, n, n_inputs, n_outputs,
+                                                    exact, completed):
+    """parse(print_pattern(p)) == p, and the text prints back unchanged, for
+    the patterns of random instances with a flow (all six labels)."""
+    og = generate_instance(InstanceSpec(n=n, seed=seed, n_inputs=n_inputs,
+                                        n_outputs=n_outputs, reject_input_z=True))
+    result = find_pauli_flow(og)
+    if not result.found:
+        return
+    rng = random.Random(seed)
+    angles = {u: (PI_ANGLE if rng.random() < 0.5 else ZERO_ANGLE) if lab.is_pauli
+              else Angle.from_fraction(rng.randrange(8), 4) if exact
+              else Angle.from_radians(rng.uniform(0, 2 * math.pi))
+              for u, lab in og.labels.items()}
+    m = Mbqc(og, angles, synthesize_corrections(og, result.flow))
+    pat = to_pattern(m, completed_order(og, result.flow) if completed else None)
+    text = print_pattern(pat)
+    assert parse(text) == pat
+    assert print_pattern(parse(text)) == text

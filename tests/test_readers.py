@@ -46,6 +46,9 @@ VERTICES = near(st.permutations(["a", "b", "c"]) | st.lists(NAME, unique=True, m
 NAMES = near(st.lists(NAME, max_size=3))
 PAIRS = near(st.lists(NAMES, max_size=3))
 
+LAYERS = near(st.lists(near(st.lists(NAME | st.just("zz"), max_size=3)
+                            | st.sampled_from(["ab", "c"])), max_size=3))
+
 
 def name_map(values):
     return near(st.dictionaries(NAME | st.text(max_size=2), values, max_size=3))
@@ -65,7 +68,10 @@ DOCUMENTS = {
     "graph": st.fixed_dictionaries(
         {"vertices": VERTICES, "edges": PAIRS, "inputs": NAMES, "outputs": NAMES},
         optional={"labels": name_map(near(LABEL))}),
-    "flow": st.fixed_dictionaries({"p": name_map(NAMES)}, optional={"order": PAIRS}),
+    "flow": st.fixed_dictionaries({"p": name_map(NAMES)}, optional={"order": PAIRS})
+    | st.fixed_dictionaries({"p": st.dictionaries(NAME, st.lists(NAME, max_size=3), max_size=3),
+                             "layers": LAYERS})
+    | st.fixed_dictionaries({"p": name_map(NAMES), "order": PAIRS, "layers": LAYERS}),
     "strategy": st.fixed_dictionaries({"x": name_map(NAMES), "z": name_map(NAMES)}),
     "pattern": st.fixed_dictionaries(
         {"vertices": VERTICES, "input": NAMES, "output": NAMES,
@@ -189,6 +195,10 @@ STRING_FOR_ARRAY = [  # (kind, document, whether it must be rejected)
     ("flow", {"p": {"a": ["b", "b"], "b": ["c"]}, "order": [["a", "b"], ["a", "b"]]}, False),
     ("strategy", {"x": {"a": "bc", "b": []}, "z": {"a": [], "b": []}}, True),
     ("strategy", {"x": {"a": ["b"], "b": []}, "z": {"a": [], "b": "c"}}, True),
+    ("flow", {"p": {"a": ["b"], "b": ["c"]}, "layers": "ab"}, True),
+    ("flow", {"p": {"a": ["b"], "b": ["c"]}, "layers": ["ab"]}, True),
+    ("flow", {"p": {"a": ["b"], "b": ["c"]}, "layers": [["a"], "b"]}, True),
+    ("flow", {"p": {"a": ["b"], "b": ["c"]}, "layers": [["a"], ["b"]]}, False),
 ]
 REFERENCE_READERS = {
     "graph": (open_graph_from_json, reference_open_graph_from_json),
@@ -208,6 +218,16 @@ def test_bulk_readers_match_the_name_by_name_path(kind, data):
     read, reference = REFERENCE_READERS[kind]
     for d in (doc, json.dumps(doc)):
         assert _read_outcome(read, d) == _read_outcome(reference, d)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(NAME | st.just("zz"), max_size=3), max_size=4))
+def test_layers_match_the_reference(layers):
+    """Lists of names only, so mostly repeated, unknown or output names: the
+    same order as every cross-layer pair, or the same FormatError text."""
+    read, reference = REFERENCE_READERS["flow"]
+    doc = {"p": {"a": ["b"], "b": ["c"]}, "layers": layers}
+    assert _read_outcome(read, doc) == _read_outcome(reference, doc)
 
 
 @pytest.mark.parametrize("kind, doc, rejected", STRING_FOR_ARRAY)

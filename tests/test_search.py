@@ -234,8 +234,11 @@ def test_flow_depth_of_long_chains():
     falling = CorrectionFlow(dict.fromkeys(range(3000), 0),
                              PartialOrder.chain(3000, range(2999, -1, -1)))
     assert flow_depth(falling) == 2999
+    names = tuple(map(str, range(3001)))
     for f, order in [(chain, list(range(3000))), (falling, list(range(2999, -1, -1)))]:
         assert linearize(f.order, (1 << 3000) - 1) == order
-        names = tuple(map(str, range(3000)))
-        assert flow_to_json(f, names)["order"] == [[names[a], names[b]]
-                                                   for a, b in sorted(zip(order, order[1:]))]
+        assert flow_to_json(f, names[:3000])["layers"] == [[names[v]] for v in order]
+        # one more vertex in p's domain, above or below none: no longer a weak order
+        loose = CorrectionFlow({**f.p, 3000: 0}, PartialOrder.chain(3001, order))
+        assert flow_to_json(loose, names)["order"] == [[names[a], names[b]]
+                                                       for a, b in sorted(zip(order, order[1:]))]
